@@ -2,17 +2,29 @@
 //
 // A checkpoint is one file holding every rank's opaque state blob plus the
 // epoch that produced it. Rank 0 is the only writer: Comm::checkpoint()
-// funnels all blobs to rank 0, which commits them here with the classic
-// write-to-temp + atomic-rename protocol — a checkpoint either exists
-// completely (rename happened) or not at all (crash mid-write leaves only
-// the temp file, which the next load ignores). The payload carries a CRC32
-// so a torn or tampered file is rejected loudly instead of restoring
-// garbage state into every rank.
+// funnels all blobs to rank 0, where a CheckpointWriter — one background
+// thread per Comm — receives them and commits the image with the classic
+// write-to-temp + atomic-rename protocol while the ranks carry on
+// computing. A checkpoint either exists completely (rename happened) or
+// not at all (a crash mid-write leaves only the temp file, which the next
+// load ignores). The payload carries a CRC32 so a torn or tampered file is
+// rejected loudly instead of restoring garbage state into every rank.
+//
+// Durability contract: at most one write is in flight, so the committed
+// ckpt.bin lags the latest cut by at most one. The in-flight write is
+// drained (its failure rethrown) by the next cut, by restore(), and by the
+// world launchers at every body exit — only a SIGKILL of rank 0 mid-write
+// can leave the previous image committed, and recovery then replays one
+// more interval of (deterministic) work.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
+#include <functional>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace peachy::mpp {
@@ -36,5 +48,51 @@ void save_checkpoint(const std::string& dir, const CheckpointImage& image);
 /// written by a world of a different size than `world`.
 std::optional<CheckpointImage> load_checkpoint(const std::string& dir,
                                                int world);
+
+/// Runs save_checkpoint() on one background thread, started by the
+/// constructor and joined by the destructor. Double-buffered: one image
+/// can be on its way to disk while the caller assembles the next, and
+/// submit() waits for the previous write before queueing another, so at
+/// most one write is ever in flight. A failed write is kept and rethrown
+/// as peachy::Error by the next submit() or drain() — exactly once.
+class CheckpointWriter {
+ public:
+  /// Completes a submitted image on the writer thread, before the save:
+  /// Comm receives the other ranks' blobs here, so rank 0 does not wait
+  /// for them at the cut. An exception fails the write like an I/O error.
+  using Collect = std::function<void(CheckpointImage&)>;
+
+  explicit CheckpointWriter(std::string dir, Collect collect = {});
+  /// Finishes the in-flight write and joins the thread. A failure nobody
+  /// drained can only be logged to stderr here (destructors must not
+  /// throw); the mpp launchers drain explicitly at every body exit.
+  ~CheckpointWriter();
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
+
+  /// Waits for the previous write (rethrowing its failure), then queues
+  /// `image` for the writer thread and returns without touching the disk
+  /// or the collect step.
+  void submit(CheckpointImage image);
+
+  /// Blocks until no write (collect included) is in flight; rethrows a
+  /// failed write's error.
+  void drain();
+
+ private:
+  void run();
+  /// Waits for the in-flight write; returns (and clears) its error text.
+  std::string wait_idle(std::unique_lock<std::mutex>& lock);
+
+  const std::string dir_;
+  const Collect collect_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::optional<CheckpointImage> queued_;
+  bool busy_ = false;  ///< an image is queued or being written
+  bool stop_ = false;
+  std::string error_;  ///< failure of the last write, until reported
+  std::thread thread_;
+};
 
 }  // namespace peachy::mpp

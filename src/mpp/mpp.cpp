@@ -162,24 +162,28 @@ void Comm::send(int dest, int tag, std::span<const std::byte> payload) {
 }
 
 void Comm::recv_bytes(int src, int tag, void* data, std::size_t bytes) {
-  PEACHY_REQUIRE(src >= 0 && src < size(),
-                 "rank " << rank() << ": recv from bad rank " << src
-                         << " (world size " << size() << ", tag " << tag
-                         << ")");
-  net::MsgInfo info;
-  const std::vector<std::byte> payload = transport_->recv(src, tag, &info);
+  const std::vector<std::byte> payload = recv_message(src, tag);
   PEACHY_REQUIRE(payload.size() == bytes,
                  "rank " << rank() << ": message size mismatch from rank "
                          << src << " tag " << tag << ": expected " << bytes
                          << " bytes, got " << payload.size());
   if (bytes) std::memcpy(data, payload.data(), bytes);
+}
+
+std::vector<std::byte> Comm::recv_message(int src, int tag) {
+  PEACHY_REQUIRE(src >= 0 && src < size(),
+                 "rank " << rank() << ": recv from bad rank " << src
+                         << " (world size " << size() << ", tag " << tag
+                         << ")");
+  net::MsgInfo info;
+  std::vector<std::byte> payload = transport_->recv(src, tag, &info);
   if (obs::enabled()) {
     namespace cluster = obs::cluster;
     std::vector<std::pair<std::string, std::int64_t>> args = {
         {"src", src},
         {"dst", rank()},
         {"tag", tag},
-        {"bytes", static_cast<std::int64_t>(bytes)}};
+        {"bytes", static_cast<std::int64_t>(payload.size())}};
     if (info.has_ctx) {
       // Adopt the sender's context: this recv span is a child of the send
       // span, and it stays current on this thread so follow-up sends chain
@@ -193,6 +197,7 @@ void Comm::recv_bytes(int src, int tag, void* data, std::size_t bytes) {
     }
     obs::Tracer::global().instant("mpp.recv", "mpp", std::move(args));
   }
+  return payload;
 }
 
 // Collectives are plain messages through rank 0 on reserved tags, so they
@@ -252,38 +257,41 @@ int Comm::checkpoint(const void* data, std::size_t bytes) {
   obs::Span span("mpp.checkpoint", "mpp");
   span.arg("rank", rank());
   span.arg("bytes", static_cast<std::int64_t>(bytes));
+  const auto* p = static_cast<const std::byte*>(data);
   if (rank_() != 0) {
-    const std::uint64_t n = bytes;
-    send(0, detail_tag_ckpt(), &n, 1);
-    if (bytes) send_bytes(0, detail_tag_ckpt(), data, bytes);
-    std::int32_t epoch = 0;
-    recv(0, detail_tag_ckpt(), &epoch, 1);
-    epoch_ = epoch;
-    return epoch_;
+    // No ack: the epoch rank 0 commits next is always epoch_ + 1, and a
+    // failed commit surfaces on rank 0, which then takes the world down.
+    send(0, detail_tag_ckpt(), std::span(p, bytes));
+    return ++epoch_;
+  }
+  if (!writer_) {
+    // The other ranks' blobs are received on the writer thread: a cut on
+    // rank 0 would otherwise wait a message latency for the slowest of
+    // them, with every rank then waiting on rank 0. The transport outlives
+    // the writer (drained or destroyed first) and serves concurrent
+    // receivers on distinct channels.
+    writer_ = std::make_unique<CheckpointWriter>(
+        ckpt_dir_, [transport = transport_.get()](CheckpointImage& image) {
+          std::uint64_t total = image.blobs[0].size();
+          for (int r = 1; r < transport->size(); ++r) {
+            auto& blob = image.blobs[static_cast<std::size_t>(r)];
+            blob = transport->recv(r, detail_tag_ckpt(), nullptr);
+            total += blob.size();
+          }
+          if (obs::enabled()) obs_checkpoint_bytes().add(total);
+        });
   }
   CheckpointImage image;
   image.epoch = epoch_ + 1;
   image.blobs.resize(static_cast<std::size_t>(size()));
-  const auto* p = static_cast<const std::byte*>(data);
   image.blobs[0].assign(p, p + bytes);
-  std::uint64_t total = bytes;
-  for (int r = 1; r < size(); ++r) {
-    std::uint64_t n = 0;
-    recv(r, detail_tag_ckpt(), &n, 1);
-    auto& blob = image.blobs[static_cast<std::size_t>(r)];
-    blob.resize(n);
-    if (n) recv_bytes(r, detail_tag_ckpt(), blob.data(), n);
-    total += n;
-  }
-  save_checkpoint(ckpt_dir_, image);  // the commit point for this epoch
-  epoch_ = image.epoch;
-  const std::int32_t epoch = epoch_;
-  for (int r = 1; r < size(); ++r) send(r, detail_tag_ckpt(), &epoch, 1);
-  if (obs::enabled()) {
-    obs_checkpoints().add(1);
-    obs_checkpoint_bytes().add(total);
-  }
-  return epoch_;
+  writer_->submit(std::move(image));  // waits only for the previous write
+  if (obs::enabled()) obs_checkpoints().add(1);
+  return ++epoch_;
+}
+
+void Comm::drain_checkpoint() {
+  if (writer_) writer_->drain();
 }
 
 std::optional<std::vector<std::byte>> Comm::restore() {
@@ -293,16 +301,13 @@ std::optional<std::vector<std::byte>> Comm::restore() {
   obs::Span span("mpp.restore", "mpp");
   span.arg("rank", rank());
   if (rank_() == 0) {
+    drain_checkpoint();  // load the last cut, not an older image
     std::optional<CheckpointImage> image = load_checkpoint(ckpt_dir_, size());
     const std::int32_t epoch = image ? image->epoch : -1;
     for (int r = 1; r < size(); ++r) send(r, detail_tag_ckpt(), &epoch, 1);
     if (!image) return std::nullopt;
-    for (int r = 1; r < size(); ++r) {
-      const auto& blob = image->blobs[static_cast<std::size_t>(r)];
-      const std::uint64_t n = blob.size();
-      send(r, detail_tag_ckpt(), &n, 1);
-      if (n) send_bytes(r, detail_tag_ckpt(), blob.data(), n);
-    }
+    for (int r = 1; r < size(); ++r)
+      send(r, detail_tag_ckpt(), image->blobs[static_cast<std::size_t>(r)]);
     epoch_ = image->epoch;
     if (obs::enabled()) obs_restores().add(1);
     return std::move(image->blobs[0]);
@@ -310,10 +315,7 @@ std::optional<std::vector<std::byte>> Comm::restore() {
   std::int32_t epoch = 0;
   recv(0, detail_tag_ckpt(), &epoch, 1);
   if (epoch < 0) return std::nullopt;
-  std::uint64_t n = 0;
-  recv(0, detail_tag_ckpt(), &n, 1);
-  std::vector<std::byte> blob(n);
-  if (n) recv_bytes(0, detail_tag_ckpt(), blob.data(), n);
+  std::vector<std::byte> blob = recv_message(0, detail_tag_ckpt());
   epoch_ = epoch;
   if (obs::enabled()) obs_restores().add(1);
   return blob;
@@ -399,6 +401,14 @@ RunOutcome run_threads(int ranks, const RunOptions& options,
         body(comm);
       } catch (...) {
         mine.error = std::current_exception();
+      }
+      // Rank 0's last cut must be on disk before this rank leaves: the
+      // supervisor's restart and the success-path directory removal both
+      // read the checkpoint directory as final.
+      try {
+        comm.drain_checkpoint();
+      } catch (...) {
+        if (!mine.error) mine.error = std::current_exception();
       }
       // Say goodbye even when the body failed, so peers blocked on this
       // rank observe a shutdown (or PeerDied) instead of hanging.
@@ -504,6 +514,13 @@ constexpr const char* kEnvTraceId = "PEACHY_MPP_TRACE_ID";
   struct sigaction sa = {};
   sa.sa_handler = on_worker_sigterm;
   ::sigaction(SIGTERM, &sa, nullptr);
+  // The launcher forks with SIGTERM blocked (ProcessLauncher::spawn_one),
+  // so a cancel that raced ahead of the handler is pending, not fatal:
+  // unblocking delivers it into the latch.
+  sigset_t term;
+  sigemptyset(&term);
+  sigaddset(&term, SIGTERM);
+  ::pthread_sigmask(SIG_UNBLOCK, &term, nullptr);
   // Flight-recorder identity first, telemetry or not: the ring is always
   // on, and a crash or PeerDied dump must name this rank even when the
   // failure happens during mesh setup. Re-reading the dump dir matters for
@@ -544,6 +561,16 @@ constexpr const char* kEnvTraceId = "PEACHY_MPP_TRACE_ID";
       report.error = e.what();
     } catch (...) {
       report.error = "unknown exception";
+    }
+    // The pending checkpoint write lands before the report, so the
+    // launcher never restarts from (or removes) a directory mid-write.
+    try {
+      comm.drain_checkpoint();
+    } catch (const std::exception& e) {
+      if (report.ok) {
+        report.ok = false;
+        report.error = e.what();
+      }
     }
     // Finals must ship before the goodbye; finish() never throws.
     if (session) session->finish();

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/error.hpp"
+#include "mpp/checkpoint.hpp"
 #include "mpp/telemetry.hpp"
 #include "net/inproc.hpp"
 #include "net/process.hpp"
@@ -203,7 +204,9 @@ class Comm {
   explicit Comm(std::unique_ptr<net::Transport> transport)
       : transport_(std::move(transport)) {}
   Comm(Comm&&) = default;
-  Comm& operator=(Comm&&) = default;
+  /// Not assignable: rank 0's writer thread reads the transport until it
+  /// is drained, so the two must go away writer first.
+  Comm& operator=(Comm&&) = delete;
 
   int rank() const { return transport_->rank(); }
   int size() const { return transport_->size(); }
@@ -314,19 +317,36 @@ class Comm {
     return mine;
   }
 
-  /// Collective checkpoint: every rank contributes its local state blob,
-  /// rank 0 durably commits the set (mpp/checkpoint.hpp) and broadcasts the
-  /// new epoch, which is returned on every rank. Call at a point where all
-  /// ranks agree on progress (e.g. right after a collective) so the saved
-  /// cut is consistent. Throws unless checkpointing() is enabled.
+  /// Collective checkpoint cut: every rank contributes its local state
+  /// blob and returns the new epoch (checkpoint_epoch() + 1). Call at a
+  /// point where all ranks agree on progress (e.g. right after a
+  /// collective) so the cut is consistent. Throws unless checkpointing()
+  /// is enabled.
+  ///
+  /// The cut waits for no disk, no peer and no ack. A non-root rank sends
+  /// its blob to rank 0 and counts the epoch locally. Rank 0 queues its
+  /// own blob on its CheckpointWriter thread (mpp/checkpoint.hpp), which
+  /// receives the other ranks' blobs and commits the image. Before
+  /// queueing, rank 0 waits for the previous write, and a failed previous
+  /// write is rethrown here as peachy::Error. The committed ckpt.bin is
+  /// therefore at most one cut behind. restore() and the world launchers
+  /// drain the pending write at every body exit, so a restart or a
+  /// finished run always sees this cut committed.
   int checkpoint(const void* data, std::size_t bytes);
 
-  /// Collective restore: rank 0 loads the last committed checkpoint and
-  /// redistributes the blobs; every rank gets its own back, or nullopt
-  /// when no checkpoint has ever been committed. Sets checkpoint_epoch().
+  /// Collective restore: rank 0 drains its pending checkpoint write, loads
+  /// the last committed checkpoint and redistributes the blobs; every rank
+  /// gets its own back, or nullopt when no checkpoint has ever been
+  /// committed. Sets checkpoint_epoch().
   std::optional<std::vector<std::byte>> restore();
 
-  /// Epoch of the last checkpoint this rank committed or restored; 0 when
+  /// Waits until rank 0's in-flight checkpoint write is on disk; rethrows
+  /// its failure as peachy::Error. A no-op on other ranks and when nothing
+  /// is pending. run_world and spawned workers call it at every body exit,
+  /// so bodies need not.
+  void drain_checkpoint();
+
+  /// Epoch of the last cut this rank took part in, or restored; 0 when
   /// neither has happened.
   int checkpoint_epoch() const { return epoch_; }
 
@@ -361,6 +381,8 @@ class Comm {
 
   void send_bytes(int dest, int tag, const void* data, std::size_t bytes);
   void recv_bytes(int src, int tag, void* data, std::size_t bytes);
+  /// Receives one message of whatever size was sent.
+  std::vector<std::byte> recv_message(int src, int tag);
   std::int64_t allreduce(std::int64_t value,
                          std::int64_t (*op)(std::int64_t, std::int64_t));
 
@@ -369,6 +391,10 @@ class Comm {
   std::vector<std::byte> result_;
   std::string ckpt_dir_;
   int epoch_ = 0;
+  /// Rank 0's commit thread, started by the first checkpoint(). Declared
+  /// after transport_ so it is joined before the transport it reads from
+  /// is destroyed.
+  std::unique_ptr<CheckpointWriter> writer_;
 };
 
 /// SPMD launcher: runs `body(comm)` on `ranks` threads over the in-process

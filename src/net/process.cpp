@@ -50,7 +50,16 @@ ProcessLauncher::~ProcessLauncher() {
 }
 
 pid_t ProcessLauncher::spawn_one(int rank) {
+  // The child is born with SIGTERM blocked: a SIGTERM sent the instant the
+  // pid exists stays pending until the worker has installed its handler
+  // and unblocks it, instead of killing a child that has not yet joined
+  // the rendezvous. The parent's own mask is restored right away.
+  sigset_t term, parent_mask;
+  sigemptyset(&term);
+  sigaddset(&term, SIGTERM);
+  ::pthread_sigmask(SIG_BLOCK, &term, &parent_mask);
   const pid_t pid = ::fork();
+  if (pid != 0) ::pthread_sigmask(SIG_SETMASK, &parent_mask, nullptr);
   PEACHY_REQUIRE(pid >= 0, "fork failed: " << std::strerror(errno));
   if (pid == 0) {
     if (limits_.any()) apply_child_limits(limits_);

@@ -16,6 +16,10 @@
 // Both spawn styles record their recipe, so respawn(rank) can fork a
 // replacement for a single failed rank later — the building block of the
 // supervised restart loop in mpp::run_spawned.
+//
+// Children start with SIGTERM blocked (through exec, too). A recipe that
+// wants SIGTERM installs its handler and then unblocks it, as
+// mpp's worker does. A SIGTERM sent in between stays pending until then.
 #pragma once
 
 #include <sys/types.h>

@@ -33,6 +33,18 @@ void apply_schedule(Schedule s) {
   }
 }
 
+// Checkerboard waves. Each colour ((ty + tx) & 1) runs as two sub-waves
+// split by row parity, so any two same-wave tiles are at least one whole
+// tile apart in both directions. Two colours alone are not enough:
+// diagonal neighbours both spill into the two cells at their touching
+// corner (the cell right of one tile's corner is the cell above the
+// other's), so their in-place updates race.
+inline constexpr int kWavePhases = 4;
+
+inline bool in_wave(const Tile& t, int phase) {
+  return ((t.ty + t.tx) & 1) == (phase >> 1) && (t.ty & 1) == (phase & 1);
+}
+
 // Tile span on the executing thread's tracer lane (any scheduling policy).
 inline void obs_tile(std::int64_t t0, const Tile& t, int iter) {
   obs::Tracer::global().complete("tile", "pap", t0, now_ns(),
@@ -44,9 +56,9 @@ inline void obs_tile(std::int64_t t0, const Tile& t, int iter) {
 Runner::Runner(TileGrid tiles, RunOptions options)
     : tiles_(tiles), options_(options) {
   if (options_.checkerboard) {
-    // Two-wave execution keeps in-place kernels race-free only when no two
-    // same-wave tiles can write into the same cell, which requires tiles at
-    // least 2 cells wide/tall (see DESIGN.md).
+    // Wave execution keeps in-place kernels race-free only when no two
+    // same-wave tiles can write into the same cell; with one tile between
+    // them (see in_wave) that requires tiles at least 2 cells wide/tall.
     PEACHY_REQUIRE(tiles_.tile_h() >= 2 && tiles_.tile_w() >= 2,
                    "checkerboard waves need tiles >= 2x2, got "
                        << tiles_.tile_h() << "x" << tiles_.tile_w());
@@ -72,8 +84,8 @@ int Runner::lane_count() const {
   return options_.threads > 0 ? options_.threads : omp_get_max_threads();
 }
 
-// Executes all tiles of one wave (or all tiles when parity < 0) and returns
-// whether any tile changed.
+// Executes every tile once, wave by wave when parity_phases > 1, and
+// returns whether any tile changed.
 int Runner::execute_eager(const TileKernel& kernel, int iter,
                           std::size_t* tasks, int parity_phases) {
   const int n = tiles_.count();
@@ -88,7 +100,7 @@ int Runner::execute_eager(const TileKernel& kernel, int iter,
         options_.threads > 0 ? static_cast<std::size_t>(options_.threads) : 0;
     fo.grain = 1;  // one tile per task, the analogue of dynamic,1
     for (int phase = 0; phase < parity_phases; ++phase) {
-      const bool filter = parity_phases == 2;
+      const bool filter = parity_phases > 1;
       arena().parallel_for(
           static_cast<std::size_t>(n),
           [&](std::size_t lo, std::size_t hi) {
@@ -96,7 +108,7 @@ int Runner::execute_eager(const TileKernel& kernel, int iter,
             std::size_t local_executed = 0;
             for (std::size_t i = lo; i < hi; ++i) {
               const Tile t = tiles_.tile(static_cast<int>(i));
-              if (filter && ((t.ty + t.tx) & 1) != phase) continue;
+              if (filter && !in_wave(t, phase)) continue;
               const std::int64_t t0 = (trace || obs_on) ? now_ns() : 0;
               local_changed |= kernel(t, iter) ? 1 : 0;
               if (trace) {
@@ -119,13 +131,13 @@ int Runner::execute_eager(const TileKernel& kernel, int iter,
   std::size_t executed = 0;
   apply_schedule(options_.schedule);
   for (int phase = 0; phase < parity_phases; ++phase) {
-    const bool filter = parity_phases == 2;
+    const bool filter = parity_phases > 1;
 #pragma omp parallel for schedule(runtime) reduction(| : changed_any) \
     reduction(+ : executed) num_threads(options_.threads > 0 ? options_.threads \
                                                              : omp_get_max_threads())
     for (int i = 0; i < n; ++i) {
       const Tile t = tiles_.tile(i);
-      if (filter && ((t.ty + t.tx) & 1) != phase) continue;
+      if (filter && !in_wave(t, phase)) continue;
       const std::int64_t t0 = (trace || obs_on) ? now_ns() : 0;
       const bool changed = kernel(t, iter);
       if (trace) {
@@ -159,10 +171,7 @@ int Runner::execute_lazy(const TileKernel& kernel, int iter,
     work_.clear();
     for (int i = 0; i < n; ++i) {
       if (!active_[static_cast<std::size_t>(i)]) continue;
-      if (parity_phases == 2) {
-        const Tile t = tiles_.tile(i);
-        if (((t.ty + t.tx) & 1) != phase) continue;
-      }
+      if (parity_phases > 1 && !in_wave(tiles_.tile(i), phase)) continue;
       work_.push_back(i);
     }
     const int m = static_cast<int>(work_.size());
@@ -237,7 +246,7 @@ RunResult Runner::run(const TileKernel& kernel) {
   RuntimeCounters before;
   if (ws) before = arena().counters();
 
-  const int parity_phases = options_.checkerboard ? 2 : 1;
+  const int parity_phases = options_.checkerboard ? kWavePhases : 1;
   if (options_.lazy) {
     const std::size_t n = static_cast<std::size_t>(tiles_.count());
     active_.assign(n, 1);

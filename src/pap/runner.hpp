@@ -54,7 +54,7 @@ struct RunOptions {
   int threads = 0;          ///< 0 = use OMP default / all arena lanes
   Schedule schedule = Schedule::kDynamic;
   bool lazy = false;        ///< lazy tile activation (assignment 2)
-  bool checkerboard = false;///< two-wave execution for async kernels
+  bool checkerboard = false;///< wave execution for async kernels
   int max_iterations = 0;   ///< 0 = run until stable
   TraceRecorder* trace = nullptr;  ///< optional task tracing
   IterationHook on_iteration;      ///< optional per-iteration callback

@@ -131,6 +131,44 @@ TEST(TelemetrySpawned, FourRankWorldWritesOneMergedValidTrace) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(TelemetrySpawned, CheckpointWritesAppearInTheMergedTrace) {
+  // Rank 0's commit thread records its own spans; they must ship with the
+  // rank's finals, so the write is drained before the telemetry goodbye.
+  const auto dir = fresh_dir("ckpt-trace");
+  const std::string trace = (dir / "merged.json").string();
+  Telemetry telemetry;
+  telemetry.enabled = true;
+  telemetry.interval_ms = 50;
+  telemetry.trace_path = trace;
+  Resilience resilience;
+  resilience.checkpoint_dir = (dir / "ckpt").string();
+
+  run_spawned(
+      4, {},
+      [](Comm& comm) {
+        const std::vector<std::byte> blob(1024, std::byte{1});
+        for (int cut = 0; cut < 3; ++cut) {
+          comm.allreduce_sum(cut);
+          comm.checkpoint(blob.data(), blob.size());
+        }
+      },
+      {}, resilience, telemetry);
+  ASSERT_TRUE(std::filesystem::exists(trace)) << trace;
+  const std::string cmd = "python3 " PEACHY_SOURCE_DIR
+                          "/scripts/trace_check.py \"" +
+                          trace + "\" --min-ranks 4";
+  EXPECT_EQ(std::system(cmd.c_str()), 0) << cmd;
+  const std::string text = slurp(trace);
+  std::size_t writes = 0;
+  for (std::size_t at = text.find("\"mpp.checkpoint_write\"");
+       at != std::string::npos;
+       at = text.find("\"mpp.checkpoint_write\"", at + 1))
+    ++writes;
+  EXPECT_EQ(writes, 3u);
+  EXPECT_NE(text.find("\"mpp.checkpoint\""), std::string::npos);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(TelemetrySpawned, MetricsEndpointServesRankLabeledRollupMidRun) {
   const auto dir = fresh_dir("metrics");
   const std::string port_file = (dir / "port").string();

@@ -155,9 +155,11 @@ TEST(ClusterNet, EstimatesSkewedPeerClockFromProbes) {
 
   std::thread fake([&] {
     Socket s = fake_rank1_join(server.port());
+    // Answer every probe until rank 0 says goodbye: under load most round
+    // trips exceed 1.5x the best one and are rejected by the estimator, so
+    // a fixed number of answers can leave it short of samples.
     const auto deadline = std::chrono::steady_clock::now() + 5s;
-    int pongs = 0;
-    while (std::chrono::steady_clock::now() < deadline && pongs < 8) {
+    while (std::chrono::steady_clock::now() < deadline) {
       FrameHeader h;
       std::vector<std::byte> payload;
       try {
@@ -174,7 +176,6 @@ TEST(ClusterNet, EstimatesSkewedPeerClockFromProbes) {
         pong.type = FrameType::kPong;
         pong.src = 1;
         send_frame(s, pong, reply.data(), reply.size());
-        ++pongs;
       } else if (h.type == FrameType::kGoodbye) {
         break;
       }

@@ -110,6 +110,43 @@ TEST(Spawn, RespawnReplacesARanksProcess) {
   EXPECT_EQ(codes[0], 255);  // the live incarnation still sleeps
 }
 
+TEST(Spawn, SigtermAtBirthEndsTheWorldPromptly) {
+  // The watchdog SIGTERMs every worker on its first poll, right after the
+  // spawns. Exec'd workers are still loading this binary then, long before
+  // their SIGTERM handler exists. The launcher spawns with SIGTERM
+  // blocked, so the signal waits for the worker's handler and lands in the
+  // abort latch instead of killing a child that never registered (which
+  // left the rendezvous blocked for its whole accept budget). The short
+  // socket timeouts turn such a hang into a failed time bound rather than
+  // a stuck test.
+  const std::vector<std::string> argv = {
+      "/proc/self/exe", "--gtest_filter=Spawn.SigtermAtBirthEndsTheWorldPromptly"};
+  net::TcpOptions tcp;
+  tcp.connect_timeout_ms = 3000;
+  tcp.recv_timeout_ms = 3000;
+  mpp::SpawnControl control;
+  control.should_abort = [] { return true; };
+  control.poll_ms = 1;
+  control.term_grace_ms = 3000;
+  for (int round = 0; round < 20; ++round) {
+    const auto t0 = std::chrono::steady_clock::now();
+    try {
+      mpp::run_spawned(
+          4, argv,
+          [](mpp::Comm& comm) {
+            // Cooperative cancel: stop together once any rank saw SIGTERM.
+            while (!comm.allreduce_or(mpp::spawn_abort_requested())) {
+            }
+          },
+          tcp, {}, {}, control);
+    } catch (const Error& e) {
+      ADD_FAILURE() << "round " << round << ": " << e.what();
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(elapsed, std::chrono::seconds(5)) << "round " << round;
+  }
+}
+
 TEST(Spawn, Sandpile1dByteIdenticalAcrossAllBackends) {
   const sandpile::Field initial =
       sandpile::sparse_random_pile(40, 40, 0.35, 2, 9, 777);
