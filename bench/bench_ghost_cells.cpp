@@ -21,7 +21,6 @@
 #include "core/table.hpp"
 #include "core/timer.hpp"
 #include "sandpile/distributed.hpp"
-#include "sandpile/distributed2d.hpp"
 #include "sandpile/field.hpp"
 
 int main() {
@@ -86,10 +85,10 @@ int main() {
                                0),
                 r1.field.same_interior(reference) ? "yes" : "NO"});
 
-    Distributed2dOptions o2;
-    o2.ranks_y = 4;
+    DistributedOptions o2;
+    o2.ranks = 16;
     o2.ranks_x = 4;
-    const Distributed2dResult r2 = stabilize_distributed_2d(initial, o2);
+    const DistributedResult r2 = stabilize_distributed(initial, o2);
     decomp.row({"2-D (4x4 blocks)",
                 TextTable::num(static_cast<std::int64_t>(r2.rounds)),
                 TextTable::num(static_cast<std::int64_t>(

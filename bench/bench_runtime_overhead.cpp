@@ -2,8 +2,7 @@
 // overhead against the mutex-queue thread pool it replaced, a grain sweep,
 // and steal rates under an unbalanced load. The legacy pool is embedded
 // here verbatim-in-spirit (FIFO queue, one mutex, condition variable,
-// futures per chunk) because core/thread_pool.hpp is now a shim over the
-// runtime — the old design only survives as this baseline.
+// futures per chunk); the old design only survives as this baseline.
 //
 // Reported configurations, all at 8 lanes:
 //  * arena          — persistent TaskArena, chunks dealt into deques

@@ -201,15 +201,16 @@ int main(int argc, char** argv) {
 
       if (args.has("platform")) {
         // Predict the halo-exchange communication from the machine model:
-        // each exchange round, a rank pair trades k padded halo rows each
-        // way across a node boundary (the pessimistic placement — one rank
-        // per node).
+        // each exchange round, a rank pair trades k halo rows of W + 2k
+        // cells each way across a node boundary (the pessimistic
+        // placement — one rank per node).
         const machine::Machine mach =
             machine::load_machine(args.get("platform", ""));
         const machine::CoreId src{0, 0, 0, 0};
         const machine::CoreId dst{0, mach.groups[0].nodes > 1 ? 1 : 0, 0, 0};
-        const double halo_bytes = static_cast<double>(size + 2) *
-                                  opt.halo_depth * sizeof(Cell);
+        const double halo_bytes =
+            static_cast<double>(size + 2 * opt.halo_depth) * opt.halo_depth *
+            sizeof(Cell);
         const double per_round_s =
             2.0 * machine::predict_transfer_s(mach, src, dst, halo_bytes);
         table.row({"model exchange/round ms",

@@ -165,7 +165,6 @@ void TaskArena::worker_loop(std::size_t worker_index) {
   const std::size_t lane = worker_index;  // lane 0 is reserved for callers
   std::uint64_t seen = 0;
   for (;;) {
-    std::function<void()> inject;
     bool joined = false;
     {
       std::unique_lock lock(mutex_);
@@ -173,27 +172,15 @@ void TaskArena::worker_loop(std::size_t worker_index) {
       // measured around the wait only, so the armed path costs two clock
       // reads per wake-up and the disabled path one relaxed load.
       const std::int64_t idle_from = obs::enabled() ? now_ns() : 0;
-      cv_.wait(lock, [&] {
-        return stopping_ || epoch_ != seen || !inject_.empty();
-      });
+      cv_.wait(lock, [&] { return stopping_ || epoch_ != seen; });
       if (idle_from != 0)
         obs_idle_ns().add(static_cast<std::uint64_t>(now_ns() - idle_from));
-      if (!inject_.empty()) {
-        inject = std::move(inject_.front());
-        inject_.pop_front();
-      } else if (epoch_ != seen) {
-        seen = epoch_;
-        if (lane < job_participants_ && job_live_) {
-          ++active_;
-          joined = true;
-        }
-      } else if (stopping_) {
-        return;  // injection queue drained, no fresh job
+      if (epoch_ == seen) return;  // stopping, no fresh job
+      seen = epoch_;
+      if (lane < job_participants_ && job_live_) {
+        ++active_;
+        joined = true;
       }
-    }
-    if (inject) {
-      inject();
-      continue;
     }
     if (joined) {
       run_job(lane);
@@ -319,16 +306,6 @@ void TaskArena::parallel_for_index(std::size_t n,
         for (std::size_t i = lo; i < hi; ++i) fn(i);
       },
       opts);
-}
-
-void TaskArena::post(std::function<void()> task) {
-  PEACHY_CHECK(task != nullptr);
-  {
-    std::lock_guard lock(mutex_);
-    PEACHY_CHECK(!stopping_);
-    inject_.push_back(std::move(task));
-  }
-  cv_.notify_one();
 }
 
 RuntimeCounters TaskArena::counters() const {

@@ -1,6 +1,6 @@
 // Persistent work-stealing task runtime shared by every explicit-task
 // execution layer (pap::Runner's work-stealing schedule, the MapReduce
-// engine, the ThreadPool compatibility shim).
+// engine).
 //
 // Design (see DESIGN.md "Task runtime"):
 //  * A TaskArena spawns its worker threads ONCE; phases reuse them instead
@@ -23,7 +23,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -54,7 +53,7 @@ struct ForOptions {
 };
 
 /// A persistent team of worker threads executing chunked parallel loops by
-/// work stealing, plus a fire-and-forget injection queue for detached tasks.
+/// work stealing.
 class TaskArena {
  public:
   /// Range body: fn(begin, end) over a contiguous index chunk.
@@ -93,11 +92,6 @@ class TaskArena {
                           const std::function<void(std::size_t)>& fn,
                           ForOptions opts = {});
 
-  /// Enqueues a detached task executed by some worker lane. The task must
-  /// not throw (wrap it — the ThreadPool shim routes exceptions through
-  /// std::packaged_task futures).
-  void post(std::function<void()> task);
-
   RuntimeCounters counters() const;
   void reset_counters();
 
@@ -131,10 +125,10 @@ class TaskArena {
   std::vector<LaneCounters> lane_counters_;
   std::atomic<std::uint64_t> dispatches_{0};
 
-  // Job release: workers sleep on cv_ until epoch_ advances (or an inject
-  // task arrives, or shutdown). The same mutex gates job entry (job_live_,
-  // active_) and completion, so a straggler waking after the job finished
-  // can never touch deques that the next job is re-dealing.
+  // Job release: workers sleep on cv_ until epoch_ advances (or shutdown).
+  // The same mutex gates job entry (job_live_, active_) and completion, so
+  // a straggler waking after the job finished can never touch deques that
+  // the next job is re-dealing.
   std::mutex mutex_;
   std::condition_variable cv_;
   std::condition_variable done_cv_;
@@ -146,7 +140,6 @@ class TaskArena {
   bool job_live_ = false;
   int active_ = 0;  // worker lanes currently inside run_job
   bool stopping_ = false;
-  std::deque<std::function<void()>> inject_;
 
   // Serializes parallel_for callers (one chunked job in flight at a time).
   std::mutex for_mutex_;

@@ -57,6 +57,7 @@
 #include "dmr/spill.hpp"
 #include "mapreduce/job.hpp"
 #include "mpp/mpp.hpp"
+#include "net/wire.hpp"
 #include "obs/obs.hpp"
 
 namespace peachy::dmr {
@@ -218,6 +219,56 @@ struct RankCounters {
   std::uint64_t epochs = 0;
 };
 
+/// Decodes the blob rank 0 stashed into the caller-facing Result.
+template <typename K3, typename V3>
+Result<K3, V3> decode_result(const std::vector<std::byte>& blob,
+                             int partitions) {
+  PEACHY_REQUIRE(!blob.empty(),
+                 "dmr job produced no result blob (rank 0 died?)");
+  Result<K3, V3> result;
+  std::size_t pos = 0;
+  result.aborted = take_u32(blob, pos) != 0;
+  RankCounters total;
+  std::uint64_t* const fields[] = {
+      &total.map_outputs, &total.combine_outputs, &total.shuffle_records,
+      &total.shuffle_bytes, &total.local_bytes, &total.groups,
+      &total.reduce_outputs, &total.spills, &total.spilled_records,
+      &total.spilled_bytes, &total.epochs};
+  for (std::uint64_t* f : fields) *f = take_u64(blob, pos);
+  const std::uint32_t p_count = take_u32(blob, pos);
+  PEACHY_REQUIRE(p_count == static_cast<std::uint32_t>(partitions),
+                 "result blob has " << p_count << " partitions, expected "
+                                    << partitions);
+  result.counters.partition_records.resize(p_count);
+  for (std::uint32_t p = 0; p < p_count; ++p)
+    result.counters.partition_records[p] =
+        static_cast<std::size_t>(take_u64(blob, pos));
+  const std::uint64_t n = take_u64(blob, pos);
+  // Each output record is a frame of at least 20 bytes.
+  net::require_count(n, 20, blob.data() + pos, blob.data() + blob.size());
+  result.output.reserve(n);
+  RawRecord rec;
+  for (std::uint64_t k = 0; k < n; ++k) {
+    PEACHY_REQUIRE(read_record(blob, pos, rec),
+                   "result blob truncated mid-output");
+    result.output.emplace_back(
+        Codec<K3>::decode(rec.key.data(), rec.key.size()),
+        Codec<V3>::decode(rec.value.data(), rec.value.size()));
+  }
+  result.counters.map_outputs = total.map_outputs;
+  result.counters.combine_outputs = total.combine_outputs;
+  result.counters.shuffle_records = total.shuffle_records;
+  result.counters.shuffle_bytes = total.shuffle_bytes;
+  result.counters.local_bytes = total.local_bytes;
+  result.counters.groups = total.groups;
+  result.counters.reduce_outputs = total.reduce_outputs;
+  result.counters.spill.spills = total.spills;
+  result.counters.spill.spilled_records = total.spilled_records;
+  result.counters.spill.spilled_bytes = total.spilled_bytes;
+  result.counters.epochs = static_cast<int>(total.epochs);
+  return result;
+}
+
 }  // namespace detail
 
 /// A typed distributed MapReduce job. Same phase signatures as mr::Job;
@@ -291,7 +342,8 @@ class Job {
           rank_body(comm, inputs, splits, partitions, epochs, partition);
         });
 
-    Result<K3, V3> result = decode_result(outcome.rank0_result, partitions);
+    Result<K3, V3> result =
+        detail::decode_result<K3, V3>(outcome.rank0_result, partitions);
     result.counters.map_inputs = inputs.size();
     result.comm = outcome.comm;
     result.net = outcome.net;
@@ -703,53 +755,6 @@ class Job {
     for (const auto& part : outputs)
       out.insert(out.end(), part.begin(), part.end());
     return out;
-  }
-
-  /// Decodes the blob rank 0 stashed into the caller-facing Result.
-  static Result<K3, V3> decode_result(const std::vector<std::byte>& blob,
-                                      int partitions) {
-    PEACHY_REQUIRE(!blob.empty(),
-                   "dmr job produced no result blob (rank 0 died?)");
-    Result<K3, V3> result;
-    std::size_t pos = 0;
-    result.aborted = detail::take_u32(blob, pos) != 0;
-    detail::RankCounters total;
-    std::uint64_t* const fields[] = {
-        &total.map_outputs, &total.combine_outputs, &total.shuffle_records,
-        &total.shuffle_bytes, &total.local_bytes, &total.groups,
-        &total.reduce_outputs, &total.spills, &total.spilled_records,
-        &total.spilled_bytes, &total.epochs};
-    for (std::uint64_t* f : fields) *f = detail::take_u64(blob, pos);
-    const std::uint32_t p_count = detail::take_u32(blob, pos);
-    PEACHY_REQUIRE(p_count == static_cast<std::uint32_t>(partitions),
-                   "result blob has " << p_count << " partitions, expected "
-                                      << partitions);
-    result.counters.partition_records.resize(p_count);
-    for (std::uint32_t p = 0; p < p_count; ++p)
-      result.counters.partition_records[p] =
-          static_cast<std::size_t>(detail::take_u64(blob, pos));
-    const std::uint64_t n = detail::take_u64(blob, pos);
-    result.output.reserve(n);
-    RawRecord rec;
-    for (std::uint64_t k = 0; k < n; ++k) {
-      PEACHY_REQUIRE(read_record(blob, pos, rec),
-                     "result blob truncated mid-output");
-      result.output.emplace_back(
-          Codec<K3>::decode(rec.key.data(), rec.key.size()),
-          Codec<V3>::decode(rec.value.data(), rec.value.size()));
-    }
-    result.counters.map_outputs = total.map_outputs;
-    result.counters.combine_outputs = total.combine_outputs;
-    result.counters.shuffle_records = total.shuffle_records;
-    result.counters.shuffle_bytes = total.shuffle_bytes;
-    result.counters.local_bytes = total.local_bytes;
-    result.counters.groups = total.groups;
-    result.counters.reduce_outputs = total.reduce_outputs;
-    result.counters.spill.spills = total.spills;
-    result.counters.spill.spilled_records = total.spilled_records;
-    result.counters.spill.spilled_bytes = total.spilled_bytes;
-    result.counters.epochs = static_cast<int>(total.epochs);
-    return result;
   }
 
   Mapper mapper_;

@@ -121,7 +121,7 @@ std::optional<CheckpointImage> load_checkpoint(const std::string& dir,
   image.blobs.resize(file_world);
   for (auto& blob : image.blobs) {
     const std::uint64_t n = net::read_u64(p, crc_end);
-    PEACHY_REQUIRE(p + n <= crc_end,
+    PEACHY_REQUIRE(n <= static_cast<std::uint64_t>(crc_end - p),
                    "checkpoint " << path.string()
                                  << " is truncated inside a rank blob");
     blob.assign(p, p + n);

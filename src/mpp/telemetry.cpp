@@ -91,7 +91,10 @@ Snapshot decode_snapshot(const std::vector<std::byte>& payload) {
                                                << kSnapshotVersion);
   Snapshot snap;
   snap.rank = static_cast<int>(net::read_u32(p, end));
+  // Minimum encoded sizes: a sample is 40 bytes plus its name and buckets,
+  // an event 40 bytes plus its strings and args, an arg 12 bytes.
   const std::uint64_t n_samples = net::read_u64(p, end);
+  net::require_count(n_samples, 40, p, end);
   snap.samples.reserve(n_samples);
   for (std::uint64_t i = 0; i < n_samples; ++i) {
     obs::MetricSample s;
@@ -101,12 +104,14 @@ Snapshot decode_snapshot(const std::vector<std::byte>& payload) {
     s.count = net::read_u64(p, end);
     s.sum = read_i64(p, end);
     const std::uint64_t n_buckets = net::read_u64(p, end);
+    net::require_count(n_buckets, 8, p, end);
     s.buckets.reserve(n_buckets);
     for (std::uint64_t b = 0; b < n_buckets; ++b)
       s.buckets.push_back(net::read_u64(p, end));
     snap.samples.push_back(std::move(s));
   }
   const std::uint64_t n_events = net::read_u64(p, end);
+  net::require_count(n_events, 40, p, end);
   snap.events.reserve(n_events);
   for (std::uint64_t i = 0; i < n_events; ++i) {
     obs::TraceEvent ev;
@@ -117,6 +122,7 @@ Snapshot decode_snapshot(const std::vector<std::byte>& payload) {
     ev.dur_ns = read_i64(p, end);
     ev.tid = static_cast<int>(net::read_u32(p, end));
     const std::uint64_t n_args = net::read_u64(p, end);
+    net::require_count(n_args, 12, p, end);
     ev.args.reserve(n_args);
     for (std::uint64_t a = 0; a < n_args; ++a) {
       std::string key = read_string(p, end);

@@ -172,4 +172,13 @@ std::uint64_t read_u64(const std::byte*& p, const std::byte* end) {
   return v;
 }
 
+void require_count(std::uint64_t count, std::size_t min_bytes,
+                   const std::byte* p, const std::byte* end) {
+  const auto left = static_cast<std::uint64_t>(end - p);
+  PEACHY_REQUIRE(count <= left / min_bytes,
+                 "length field claims " << count << " elements of >= "
+                                        << min_bytes << " bytes, but only "
+                                        << left << " bytes remain");
+}
+
 }  // namespace peachy::net

@@ -130,5 +130,10 @@ void append_bytes(std::vector<std::byte>& out, const void* data,
 /// Reads advance `p`; running past `end` throws (truncated payload).
 std::uint32_t read_u32(const std::byte*& p, const std::byte* end);
 std::uint64_t read_u64(const std::byte*& p, const std::byte* end);
+/// Throws unless `count` elements of at least `min_bytes` each fit in the
+/// bytes left before `end`. Decoders call it before sizing anything from a
+/// length field, so a lying count fails loudly instead of allocating.
+void require_count(std::uint64_t count, std::size_t min_bytes,
+                   const std::byte* p, const std::byte* end);
 
 }  // namespace peachy::net

@@ -12,21 +12,23 @@ namespace peachy::sandpile {
 
 namespace {
 
-// Per-rank buffer: (owned + 2k) x (W+2) padded rows; local row r holds
-// global interior row (lo - k + r). Rows mapping outside [0, H) are global
-// sink rows and stay zero forever.
-struct LocalBlock {
-  int lo = 0, hi = 0;  // owned global interior rows [lo, hi)
-  int k = 1;           // halo depth
-  int width = 0;       // interior width W
-  Grid2D<Cell> cur, next;
+// One rank's block of the Py x Px process grid, stored with a k-deep ghost
+// ring: local cell (r, c) holds global interior cell (rlo - k + r,
+// clo - k + c). Ring cells mapping outside the grid are global sinks and
+// stay zero forever.
+struct Block {
+  int rlo, rhi;  // owned global rows [rlo, rhi)
+  int clo, chi;  // owned global cols [clo, chi)
+  int k;         // halo depth
 
-  int owned() const { return hi - lo; }
-  int local_rows() const { return owned() + 2 * k; }
-  int global_row(int r) const { return lo - k + r; }
-  bool is_interior_global(int g, int height) const {
-    return g >= 0 && g < height;
-  }
+  Block(int rank, int Py, int Px, int H, int W, int depth)
+      : rlo(rank / Px * H / Py), rhi((rank / Px + 1) * H / Py),
+        clo(rank % Px * W / Px), chi((rank % Px + 1) * W / Px), k(depth) {}
+
+  int rows() const { return rhi - rlo; }
+  int cols() const { return chi - clo; }
+  int local_rows() const { return rows() + 2 * k; }
+  int local_cols() const { return cols() + 2 * k; }
 };
 
 }  // namespace
@@ -34,35 +36,57 @@ struct LocalBlock {
 DistributedResult stabilize_distributed(const Field& initial,
                                         const DistributedOptions& options) {
   const int H = initial.height(), W = initial.width();
-  const int R = options.ranks, k = options.halo_depth;
+  const int R = options.ranks, Px = options.ranks_x, k = options.halo_depth;
   PEACHY_REQUIRE(R >= 1, "need >= 1 rank, got " << R);
+  PEACHY_REQUIRE(Px >= 1 && R % Px == 0,
+                 "ranks_x must be >= 1 and divide ranks (" << R << " % " << Px
+                                                           << ")");
   PEACHY_REQUIRE(k >= 1, "halo depth must be >= 1, got " << k);
-  PEACHY_REQUIRE(H >= R, "need height >= ranks (" << H << " < " << R << ")");
+  const int Py = R / Px;
+  PEACHY_REQUIRE(H >= Py && W >= Px, "grid " << H << "x" << W
+                                             << " too small for " << Py << "x"
+                                             << Px << " ranks");
+  // A strip of k rows (columns) must come from the neighbour's own block.
+  PEACHY_REQUIRE((Py == 1 || k <= H / Py) && (Px == 1 || k <= W / Px),
+                 "halo depth " << k << " exceeds the smallest block of a "
+                               << H << "x" << W << " grid on " << Py << "x"
+                               << Px << " ranks");
 
   // Rank 0 ships the gathered field home as a result blob — worker ranks
   // may be separate processes, so nothing is written through captures.
   const mpp::RunOutcome outcome = mpp::run_world(R, options.run, [&](
                                                      mpp::Comm& comm) {
     const int rank = comm.rank();
-    LocalBlock blk;
-    blk.lo = rank * H / R;
-    blk.hi = (rank + 1) * H / R;
-    blk.k = k;
-    blk.width = W;
-    blk.cur = Grid2D<Cell>(blk.local_rows(), W + 2, 0);
-    blk.next = Grid2D<Cell>(blk.local_rows(), W + 2, 0);
+    const Block blk(rank, Py, Px, H, W, k);
+    const int LR = blk.local_rows(), LC = blk.local_cols();
+    Grid2D<Cell> cur(LR, LC, 0);
+    // Load owned + initially known ghost cells from the initial field.
+    const int r_first = std::max(0, k - blk.rlo);
+    const int r_last = std::min(LR, k - blk.rlo + H);
+    const int c_first = std::max(0, k - blk.clo);
+    const int c_last = std::min(LC, k - blk.clo + W);
+    for (int r = r_first; r < r_last; ++r)
+      for (int c = c_first; c < c_last; ++c)
+        cur(r, c) = initial.at(blk.rlo - k + r, blk.clo - k + c);
 
-    // Load owned + initially known halo rows from the initial field.
-    for (int r = 0; r < blk.local_rows(); ++r) {
-      const int g = blk.global_row(r);
-      if (!blk.is_interior_global(g, H)) continue;
-      for (int x = 0; x < W; ++x) blk.cur(r, x + 1) = initial.at(g, x);
-    }
-    blk.next = blk.cur;
-
-    constexpr int kTagDown = 1;  // data travelling to the rank below
-    constexpr int kTagUp = 2;    // data travelling to the rank above
-    const std::size_t row_cells = static_cast<std::size_t>(W) + 2;
+    const int north = rank >= Px ? rank - Px : -1;
+    const int south = rank + Px < R ? rank + Px : -1;
+    const int west = rank % Px > 0 ? rank - 1 : -1;
+    const int east = rank % Px < Px - 1 ? rank + 1 : -1;
+    // Tags name the direction the data travels.
+    constexpr int kTagSouth = 1, kTagNorth = 2, kTagEast = 3, kTagWest = 4;
+    const std::size_t row_strip = static_cast<std::size_t>(LC) * k;
+    // Column strips are k cells of every owned row, packed row by row.
+    std::vector<Cell> col_out(static_cast<std::size_t>(blk.rows()) * k);
+    std::vector<Cell> col_in(col_out.size());
+    const auto pack_cols = [&](int c0) {
+      for (int i = 0; i < blk.rows(); ++i)
+        std::copy_n(cur.row(k + i) + c0, k, col_out.data() + i * k);
+    };
+    const auto unpack_cols = [&](int c0) {
+      for (int i = 0; i < blk.rows(); ++i)
+        std::copy_n(col_in.data() + i * k, k, cur.row(k + i) + c0);
+    };
 
     bool globally_stable = false;
     bool aborted = false;
@@ -71,60 +95,77 @@ DistributedResult stabilize_distributed(const Field& initial,
     // own slab back and the loop continues at the recorded round.
     if (comm.checkpointing()) {
       if (auto blob = comm.restore()) {
-        detail::SlabBlob slab =
-            detail::decode_slab(*blob, blk.local_rows(), W + 2);
+        detail::SlabBlob slab = detail::decode_slab(*blob, LR, LC);
         round = slab.round;
-        blk.cur = std::move(slab.grid);
-        blk.next = blk.cur;
+        cur = std::move(slab.grid);
       }
     }
+    Grid2D<Cell> next = cur;
     for (;;) {
       if (options.max_rounds > 0 && round >= options.max_rounds) break;
 
       // --- Halo exchange (mpp sends never block, so send-then-recv is
-      // deadlock-free in any order).
+      // deadlock-free in any order). Columns first, over the owned rows;
+      // then full-width rows, which carry the halo columns just received
+      // and with them the corners the stencil needs once k >= 2.
       {
         obs::Span exchange("sandpile.ghost_exchange", "sandpile");
         exchange.arg("rank", rank);
         exchange.arg("round", round);
-        // Halo rows leave as byte views over the grid itself (zero-copy
-        // lane: no intermediate vector between the slab and the wire).
-        if (rank > 0)
-          comm.send(rank - 1, kTagUp,
-                    std::as_bytes(std::span(blk.cur.row(k), row_cells * k)));
-        if (rank < R - 1)
-          comm.send(rank + 1, kTagDown,
-                    std::as_bytes(std::span(blk.cur.row(blk.owned()),
-                                            row_cells * k)));
-        if (rank > 0)
-          comm.recv(rank - 1, kTagDown, blk.cur.row(0), row_cells * k);
-        if (rank < R - 1)
-          comm.recv(rank + 1, kTagUp, blk.cur.row(blk.owned() + k),
-                    row_cells * k);
+        if (west >= 0) {
+          pack_cols(k);
+          comm.send(west, kTagWest, std::as_bytes(std::span(col_out)));
+        }
+        if (east >= 0) {
+          pack_cols(blk.cols());
+          comm.send(east, kTagEast, std::as_bytes(std::span(col_out)));
+        }
+        if (west >= 0) {
+          comm.recv(west, kTagEast, col_in.data(), col_in.size());
+          unpack_cols(0);
+        }
+        if (east >= 0) {
+          comm.recv(east, kTagWest, col_in.data(), col_in.size());
+          unpack_cols(blk.cols() + k);
+        }
+        // Full-width row strips are contiguous in the grid, so they leave
+        // as byte views over it (zero-copy lane: no intermediate vector
+        // between the slab and the wire).
+        if (north >= 0)
+          comm.send(north, kTagNorth,
+                    std::as_bytes(std::span(cur.row(k), row_strip)));
+        if (south >= 0)
+          comm.send(south, kTagSouth,
+                    std::as_bytes(std::span(cur.row(blk.rows()), row_strip)));
+        if (north >= 0) comm.recv(north, kTagSouth, cur.row(0), row_strip);
+        if (south >= 0)
+          comm.recv(south, kTagNorth, cur.row(blk.rows() + k), row_strip);
       }
 
-      // --- k synchronous sub-iterations on a shrinking valid band.
+      // --- k synchronous sub-iterations on a band shrinking in both axes,
+      // clipped to the global grid. Only owned cells count as changes; they
+      // are compared after each row rather than inside the stencil loop,
+      // which keeps that loop branch-free so it vectorizes.
       bool changed_owned = false;
       for (int j = 0; j < k; ++j) {
-        const int r_lo = j + 1;
-        const int r_hi = blk.local_rows() - j - 1;
-        for (int r = r_lo; r < r_hi; ++r) {
-          const int g = blk.global_row(r);
-          if (!blk.is_interior_global(g, H)) continue;
-          const Cell* up = blk.cur.row(r - 1);
-          const Cell* mid = blk.cur.row(r);
-          const Cell* down = blk.cur.row(r + 1);
-          Cell* out = blk.next.row(r);
-          const bool owned_row = r >= k && r < k + blk.owned();
-          for (int x = 1; x <= W; ++x) {
-            const Cell v = mid[x] % kTopple + mid[x - 1] / kTopple +
-                           mid[x + 1] / kTopple + up[x] / kTopple +
-                           down[x] / kTopple;
-            out[x] = v;
-            if (owned_row && v != mid[x]) changed_owned = true;
-          }
+        const int r0 = std::max(j + 1, r_first);
+        const int r1 = std::min(LR - j - 1, r_last);
+        const int c0 = std::max(j + 1, c_first);
+        const int c1 = std::min(LC - j - 1, c_last);
+        for (int r = r0; r < r1; ++r) {
+          const Cell* up = cur.row(r - 1);
+          const Cell* mid = cur.row(r);
+          const Cell* down = cur.row(r + 1);
+          Cell* out = next.row(r);
+          for (int c = c0; c < c1; ++c)
+            out[c] = mid[c] % kTopple + mid[c - 1] / kTopple +
+                     mid[c + 1] / kTopple + up[c] / kTopple +
+                     down[c] / kTopple;
+          const bool owned_row = r >= k && r < k + blk.rows();
+          if (owned_row && !changed_owned)
+            changed_owned = !std::equal(mid + k, mid + k + blk.cols(), out + k);
         }
-        std::swap(blk.cur, blk.next);
+        std::swap(cur, next);
       }
 
       ++round;
@@ -152,23 +193,27 @@ DistributedResult stabilize_distributed(const Field& initial,
       // same round here, so the saved cut is globally consistent.
       if (options.checkpoint_every > 0 && comm.checkpointing() &&
           round % options.checkpoint_every == 0) {
-        const std::vector<std::byte> slab = detail::encode_slab(round, blk.cur);
+        const std::vector<std::byte> slab = detail::encode_slab(round, cur);
         comm.checkpoint(slab.data(), slab.size());
       }
     }
 
-    // --- Gather owned rows (interior cells only) at rank 0.
+    // --- Gather owned blocks at rank 0 in rank order; the root reassembles
+    // them from the known partition.
     std::vector<Cell> mine;
-    mine.reserve(static_cast<std::size_t>(blk.owned()) * W);
-    for (int r = k; r < k + blk.owned(); ++r)
-      for (int x = 1; x <= W; ++x) mine.push_back(blk.cur(r, x));
+    mine.reserve(static_cast<std::size_t>(blk.rows()) * blk.cols());
+    for (int r = k; r < k + blk.rows(); ++r)
+      mine.insert(mine.end(), cur.row(r) + k, cur.row(r) + k + blk.cols());
     std::vector<Cell> all = comm.gather(0, mine);
     if (rank == 0) {
       PEACHY_CHECK(all.size() == static_cast<std::size_t>(H) * W);
       Field gathered(H, W);
-      for (int y = 0; y < H; ++y)
-        for (int x = 0; x < W; ++x)
-          gathered.at(y, x) = all[static_cast<std::size_t>(y) * W + x];
+      std::size_t i = 0;
+      for (int src = 0; src < R; ++src) {
+        const Block b(src, Py, Px, H, W, k);
+        for (int y = b.rlo; y < b.rhi; ++y)
+          for (int x = b.clo; x < b.chi; ++x) gathered.at(y, x) = all[i++];
+      }
       const std::vector<std::byte> blob =
           detail::encode_result(gathered, globally_stable, round, aborted);
       comm.set_result(blob.data(), blob.size());

@@ -1,12 +1,16 @@
 // Distributed sandpile via the Ghost Cell Pattern (paper §II.B, 4th
 // assignment; Kjolstad & Snir 2010), over the mpp message-passing runtime.
 //
-// The interior rows are block-partitioned across ranks (1-D decomposition).
-// Each rank keeps `halo_depth` ghost rows per side. With depth k, ranks
-// exchange halos every k synchronous iterations and recompute a shrinking
-// ghost band in between — the paper's "trade redundant computation for
-// less-frequent communication". Termination is a global all-reduce of the
-// per-rank changed flags at each exchange round.
+// The interior is block-partitioned over a (ranks / ranks_x) x ranks_x
+// process grid; the default ranks_x = 1 is the assignment's 1-D row
+// decomposition. Each rank keeps a ring of `halo_depth` ghost cells. With
+// depth k, ranks exchange halos every k synchronous iterations and
+// recompute a shrinking ghost band in between — the paper's "trade
+// redundant computation for less-frequent communication". Splitting the
+// columns too makes the exchanged volume scale with the block perimeter
+// (the pattern's surface-to-volume argument) for up to twice the messages.
+// Termination is a global all-reduce of the per-rank changed flags at each
+// exchange round.
 #pragma once
 
 #include <functional>
@@ -18,7 +22,8 @@ namespace peachy::sandpile {
 
 /// Configuration of a distributed stabilization.
 struct DistributedOptions {
-  int ranks = 4;
+  int ranks = 4;           ///< total ranks
+  int ranks_x = 1;         ///< process-grid columns; must divide `ranks`
   int halo_depth = 1;      ///< k: iterations per halo exchange
   int max_rounds = 0;      ///< 0 = run until globally stable
   /// Checkpoint every N exchange rounds (0 = never). Needs a checkpoint
@@ -47,11 +52,14 @@ struct DistributedResult {
   std::uint64_t peak_rss_bytes = 0;  ///< worker RSS peak; spawned only
 };
 
-/// Stabilizes `initial` with `options.ranks` ranks using synchronous
-/// updates and depth-k ghost rows. The input field is not modified.
+/// Stabilizes `initial` on a (ranks / ranks_x) x ranks_x process grid using
+/// synchronous updates and depth-k ghost rings. The input field is not
+/// modified.
 ///
-/// Requires ranks >= 1, halo_depth >= 1, and height >= ranks (every rank
-/// must own at least one row).
+/// Requires ranks >= 1, ranks_x >= 1 dividing ranks, halo_depth >= 1, a
+/// grid with at least as many rows and columns as the process grid (every
+/// rank must own at least one cell), and blocks at least halo_depth deep
+/// along every split dimension.
 DistributedResult stabilize_distributed(const Field& initial,
                                         const DistributedOptions& options);
 

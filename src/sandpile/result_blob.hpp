@@ -41,16 +41,19 @@ inline ResultBlob decode_result(const std::vector<std::byte>& blob) {
   const std::byte* p = blob.data();
   const std::byte* end = p + blob.size();
   ResultBlob r;
-  const int H = static_cast<int>(net::read_u32(p, end));
-  const int W = static_cast<int>(net::read_u32(p, end));
+  const std::uint32_t H = net::read_u32(p, end);
+  const std::uint32_t W = net::read_u32(p, end);
   r.rounds = static_cast<int>(net::read_u32(p, end));
   PEACHY_REQUIRE(p < end, "truncated sandpile result blob");
   const int status = std::to_integer<int>(*p++);
   r.stable = status == 1;
   r.aborted = status == 2;
-  r.field = Field(H, W);
-  for (int y = 0; y < H; ++y)
-    for (int x = 0; x < W; ++x)
+  PEACHY_REQUIRE(H >= 1 && W >= 1,
+                 "sandpile result blob is " << H << "x" << W);
+  net::require_count(std::uint64_t{H} * W, sizeof(Cell), p, end);
+  r.field = Field(static_cast<int>(H), static_cast<int>(W));
+  for (int y = 0; y < r.field.height(); ++y)
+    for (int x = 0; x < r.field.width(); ++x)
       r.field.at(y, x) = static_cast<Cell>(net::read_u32(p, end));
   return r;
 }

@@ -282,6 +282,7 @@ std::vector<std::pair<std::string, std::uint64_t>> decode_dmr_result(
   const std::byte* p = blob.data();
   const std::byte* end = p + blob.size();
   const std::uint32_t n = net::read_u32(p, end);
+  net::require_count(n, 12, p, end);  // u32 length + u64 count per pair
   std::vector<std::pair<std::string, std::uint64_t>> pairs;
   pairs.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -296,6 +297,7 @@ std::vector<WfsimRow> decode_wfsim_result(const std::vector<std::byte>& blob) {
   const std::byte* p = blob.data();
   const std::byte* end = p + blob.size();
   const std::uint32_t n = net::read_u32(p, end);
+  net::require_count(n, 24, p, end);  // three f64 per row
   std::vector<WfsimRow> rows;
   rows.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {

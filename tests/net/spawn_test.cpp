@@ -16,7 +16,6 @@
 #include "mpp/mpp.hpp"
 #include "net/process.hpp"
 #include "sandpile/distributed.hpp"
-#include "sandpile/distributed2d.hpp"
 #include "sandpile/field.hpp"
 
 namespace peachy {
@@ -175,18 +174,18 @@ TEST(Spawn, Sandpile2dByteIdenticalAcrossAllBackends) {
   const sandpile::Field initial =
       sandpile::sparse_random_pile(36, 44, 0.35, 2, 9, 4242);
 
-  sandpile::Distributed2dOptions opts;
-  opts.ranks_y = 2;
+  sandpile::DistributedOptions opts;
+  opts.ranks = 4;
   opts.ranks_x = 2;
   opts.halo_depth = 2;
-  const sandpile::Distributed2dResult inproc =
-      sandpile::stabilize_distributed_2d(initial, opts);
+  const sandpile::DistributedResult inproc =
+      sandpile::stabilize_distributed(initial, opts);
 
-  sandpile::Distributed2dOptions spawned = opts;
+  sandpile::DistributedOptions spawned = opts;
   spawned.run.transport = mpp::TransportKind::kTcp;
   spawned.run.spawn = true;
-  const sandpile::Distributed2dResult procs =
-      sandpile::stabilize_distributed_2d(initial, spawned);
+  const sandpile::DistributedResult procs =
+      sandpile::stabilize_distributed(initial, spawned);
 
   ASSERT_TRUE(inproc.stable);
   ASSERT_TRUE(procs.stable);

@@ -12,7 +12,6 @@
 #include <string>
 
 #include "sandpile/distributed.hpp"
-#include "sandpile/distributed2d.hpp"
 #include "sandpile/field.hpp"
 
 namespace peachy::sandpile {
@@ -48,8 +47,8 @@ TEST(Recovery, Spawned2dSeveredRankRecoversByteIdentical) {
   Field reference = initial;
   stabilize_reference(reference);
 
-  Distributed2dOptions opt;
-  opt.ranks_y = 2;
+  DistributedOptions opt;
+  opt.ranks = 4;
   opt.ranks_x = 2;
   opt.checkpoint_every = 4;
   opt.run.spawn = true;
@@ -59,7 +58,7 @@ TEST(Recovery, Spawned2dSeveredRankRecoversByteIdentical) {
   opt.run.tcp.fault.seed = 7;
   opt.run.tcp.fault.sever_after = sweep_sever_after();
 
-  const Distributed2dResult r = stabilize_distributed_2d(initial, opt);
+  const DistributedResult r = stabilize_distributed(initial, opt);
   ASSERT_TRUE(r.stable);
   EXPECT_GE(r.restarts, 1) << "the sever never fired; the test is vacuous";
   EXPECT_TRUE(r.field.same_interior(reference))
