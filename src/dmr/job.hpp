@@ -39,6 +39,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <exception>
@@ -51,13 +52,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/bytes.hpp"
 #include "core/error.hpp"
 #include "dmr/codec.hpp"
 #include "dmr/sorter.hpp"
 #include "dmr/spill.hpp"
 #include "mapreduce/job.hpp"
 #include "mpp/mpp.hpp"
-#include "net/wire.hpp"
 #include "obs/obs.hpp"
 
 namespace peachy::dmr {
@@ -171,38 +172,6 @@ inline void run_indexed(std::size_t n, int workers,
   if (error) std::rethrow_exception(error);
 }
 
-inline void put_u32(std::uint32_t v, std::vector<std::byte>& out) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-}
-
-inline void put_u64(std::uint64_t v, std::vector<std::byte>& out) {
-  for (int i = 0; i < 8; ++i)
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
-}
-
-inline std::uint32_t take_u32(const std::vector<std::byte>& buf,
-                              std::size_t& pos) {
-  PEACHY_REQUIRE(buf.size() - pos >= 4, "dmr blob truncated reading u32");
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(buf[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  pos += 4;
-  return v;
-}
-
-inline std::uint64_t take_u64(const std::vector<std::byte>& buf,
-                              std::size_t& pos) {
-  PEACHY_REQUIRE(buf.size() - pos >= 8, "dmr blob truncated reading u64");
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(buf[pos + static_cast<std::size_t>(i)])
-         << (8 * i);
-  pos += 8;
-  return v;
-}
-
 /// Per-rank counter block shipped to rank 0 with the outputs. Fixed-width
 /// so it frames trivially.
 struct RankCounters {
@@ -216,8 +185,85 @@ struct RankCounters {
   std::uint64_t spills = 0;
   std::uint64_t spilled_records = 0;
   std::uint64_t spilled_bytes = 0;
-  std::uint64_t epochs = 0;
+  std::uint64_t epochs = 0;  ///< last in the encoded block
 };
+
+/// Rank blob layout: [11 x u64 counters][u32 owned_count]
+/// ([u32 partition][u64 records_in][u64 out_count] framed outputs)*.
+template <typename K3, typename V3>
+void encode_rank_blob(
+    const RankCounters& rc, const std::vector<int>& owned,
+    const std::vector<std::size_t>& part_records,
+    const std::vector<std::vector<std::pair<K3, V3>>>& part_out,
+    std::vector<std::byte>& out) {
+  for (const std::uint64_t v :
+       {rc.map_outputs, rc.combine_outputs, rc.shuffle_records,
+        rc.shuffle_bytes, rc.local_bytes, rc.groups, rc.reduce_outputs,
+        rc.spills, rc.spilled_records, rc.spilled_bytes, rc.epochs})
+    bytes::append_u64(out, v);
+  bytes::append_u32(out, static_cast<std::uint32_t>(owned.size()));
+  RawRecord rec;
+  for (std::size_t i = 0; i < owned.size(); ++i) {
+    bytes::append_u32(out, static_cast<std::uint32_t>(owned[i]));
+    bytes::append_u64(out, part_records[i]);
+    bytes::append_u64(out, part_out[i].size());
+    for (std::size_t k = 0; k < part_out[i].size(); ++k) {
+      rec.partition = static_cast<std::uint32_t>(owned[i]);
+      rec.task = 0;
+      rec.seq = static_cast<std::uint32_t>(k);
+      rec.key.clear();
+      rec.value.clear();
+      Codec<K3>::encode(part_out[i][k].first, rec.key);
+      Codec<V3>::encode(part_out[i][k].second, rec.value);
+      append_record(rec, out);
+    }
+  }
+}
+
+/// Merges every rank's blob into the final result blob rank 0 stashes:
+/// [11 x u64 summed counters][u32 partitions][u64 records_in per
+/// partition][u64 total outputs][framed outputs in partition order].
+inline std::vector<std::byte> assemble_result(
+    const std::vector<std::vector<std::byte>>& rank_blobs, int partitions) {
+  std::array<std::uint64_t, 11> total{};  // RankCounters, encoded order
+  std::vector<std::uint64_t> per_partition(
+      static_cast<std::size_t>(partitions), 0);
+  std::vector<std::vector<std::byte>> outputs(
+      static_cast<std::size_t>(partitions));
+  std::uint64_t total_outputs = 0;
+  for (const auto& blob : rank_blobs) {
+    bytes::Reader in(blob);
+    for (std::size_t i = 0; i < total.size(); ++i) {
+      const std::uint64_t v = in.u64();
+      // Epochs (last) agree on every rank; everything else sums.
+      total[i] = i + 1 == total.size() ? std::max(total[i], v) : total[i] + v;
+    }
+    const std::uint32_t owned_count = in.u32();
+    RawRecord rec;
+    for (std::uint32_t i = 0; i < owned_count; ++i) {
+      const std::uint32_t p = in.u32();
+      PEACHY_REQUIRE(p < per_partition.size(),
+                     "result blob names partition " << p << " of "
+                                                    << partitions);
+      per_partition[p] = in.u64();
+      const std::uint64_t n = in.count(in.u64(), 20);  // 20-byte frames
+      total_outputs += n;
+      for (std::uint64_t k = 0; k < n; ++k) {
+        PEACHY_REQUIRE(read_record(in, rec),
+                       "result blob truncated mid-partition");
+        append_record(rec, outputs[p]);
+      }
+    }
+  }
+  std::vector<std::byte> out;
+  for (const std::uint64_t v : total) bytes::append_u64(out, v);
+  bytes::append_u32(out, static_cast<std::uint32_t>(partitions));
+  for (const std::uint64_t n : per_partition) bytes::append_u64(out, n);
+  bytes::append_u64(out, total_outputs);
+  for (const auto& part : outputs)
+    out.insert(out.end(), part.begin(), part.end());
+  return out;
+}
 
 /// Decodes the blob rank 0 stashed into the caller-facing Result.
 template <typename K3, typename V3>
@@ -226,46 +272,34 @@ Result<K3, V3> decode_result(const std::vector<std::byte>& blob,
   PEACHY_REQUIRE(!blob.empty(),
                  "dmr job produced no result blob (rank 0 died?)");
   Result<K3, V3> result;
-  std::size_t pos = 0;
-  result.aborted = take_u32(blob, pos) != 0;
-  RankCounters total;
-  std::uint64_t* const fields[] = {
-      &total.map_outputs, &total.combine_outputs, &total.shuffle_records,
-      &total.shuffle_bytes, &total.local_bytes, &total.groups,
-      &total.reduce_outputs, &total.spills, &total.spilled_records,
-      &total.spilled_bytes, &total.epochs};
-  for (std::uint64_t* f : fields) *f = take_u64(blob, pos);
-  const std::uint32_t p_count = take_u32(blob, pos);
+  bytes::Reader in(blob);
+  result.aborted = in.u32() != 0;
+  Counters& c = result.counters;
+  std::size_t epochs = 0;
+  for (std::size_t* f :
+       {&c.map_outputs, &c.combine_outputs, &c.shuffle_records,
+        &c.shuffle_bytes, &c.local_bytes, &c.groups, &c.reduce_outputs,
+        &c.spill.spills, &c.spill.spilled_records, &c.spill.spilled_bytes,
+        &epochs})
+    *f = static_cast<std::size_t>(in.u64());
+  c.epochs = static_cast<int>(epochs);
+  const std::uint32_t p_count = in.u32();
   PEACHY_REQUIRE(p_count == static_cast<std::uint32_t>(partitions),
                  "result blob has " << p_count << " partitions, expected "
                                     << partitions);
-  result.counters.partition_records.resize(p_count);
-  for (std::uint32_t p = 0; p < p_count; ++p)
-    result.counters.partition_records[p] =
-        static_cast<std::size_t>(take_u64(blob, pos));
-  const std::uint64_t n = take_u64(blob, pos);
+  c.partition_records.resize(p_count);
+  for (std::size_t& n : c.partition_records)
+    n = static_cast<std::size_t>(in.u64());
   // Each output record is a frame of at least 20 bytes.
-  net::require_count(n, 20, blob.data() + pos, blob.data() + blob.size());
+  const std::uint64_t n = in.count(in.u64(), 20);
   result.output.reserve(n);
   RawRecord rec;
   for (std::uint64_t k = 0; k < n; ++k) {
-    PEACHY_REQUIRE(read_record(blob, pos, rec),
-                   "result blob truncated mid-output");
+    PEACHY_REQUIRE(read_record(in, rec), "result blob truncated mid-output");
     result.output.emplace_back(
         Codec<K3>::decode(rec.key.data(), rec.key.size()),
         Codec<V3>::decode(rec.value.data(), rec.value.size()));
   }
-  result.counters.map_outputs = total.map_outputs;
-  result.counters.combine_outputs = total.combine_outputs;
-  result.counters.shuffle_records = total.shuffle_records;
-  result.counters.shuffle_bytes = total.shuffle_bytes;
-  result.counters.local_bytes = total.local_bytes;
-  result.counters.groups = total.groups;
-  result.counters.reduce_outputs = total.reduce_outputs;
-  result.counters.spill.spills = total.spills;
-  result.counters.spill.spilled_records = total.spilled_records;
-  result.counters.spill.spilled_bytes = total.spilled_bytes;
-  result.counters.epochs = static_cast<int>(total.epochs);
   return result;
 }
 
@@ -424,11 +458,11 @@ class Job {
     int start_epoch = 0;
     if (comm.checkpointing()) {
       if (auto blob = comm.restore()) {
-        std::size_t pos = 0;
-        start_epoch = static_cast<int>(detail::take_u32(*blob, pos));
+        bytes::Reader in(*blob);
+        start_epoch = static_cast<int>(in.u32());
         RawRecord rec;
         std::size_t restored = 0;
-        while (read_record(*blob, pos, rec)) {
+        while (read_record(in, rec)) {
           ingest(rec);
           ++restored;
         }
@@ -534,10 +568,10 @@ class Job {
         rc.shuffle_bytes += n;
       }
       {
-        std::size_t pos = 0;
-        RawRecord rec;
         const auto& mine = dest[static_cast<std::size_t>(me)];
-        while (read_record(mine, pos, rec)) ingest(rec);
+        bytes::Reader in(mine);
+        RawRecord rec;
+        while (read_record(in, rec)) ingest(rec);
         rc.local_bytes += mine.size();
       }
       for (int src = 0; src < R; ++src) {
@@ -546,9 +580,9 @@ class Job {
         comm.recv(src, tag_shuffle(e), &n, 1);
         std::vector<std::byte> block(n);
         if (n) comm.recv(src, tag_shuffle(e), block.data(), block.size());
-        std::size_t pos = 0;
+        bytes::Reader in(block);
         RawRecord rec;
-        while (read_record(block, pos, rec)) ingest(rec);
+        while (read_record(in, rec)) ingest(rec);
       }
       rc.epochs = static_cast<std::uint64_t>(e) + 1;
       exchange_span.arg("bytes_out",
@@ -576,7 +610,7 @@ class Job {
       if (comm.checkpointing() && options_.checkpoint_every > 0 &&
           (e + 1) % options_.checkpoint_every == 0 && e + 1 < epochs) {
         std::vector<std::byte> blob;
-        detail::put_u32(static_cast<std::uint32_t>(e) + 1, blob);
+        bytes::append_u32(blob, static_cast<std::uint32_t>(e) + 1);
         for (const auto& sorter : sorters)
           sorter->snapshot(
               [&blob](const RawRecord& rec) { append_record(rec, blob); });
@@ -639,7 +673,7 @@ class Job {
     // [per-partition outputs]; rank 0 assembles the result in partition
     // order and stashes it for the launcher.
     std::vector<std::byte> mine;
-    encode_rank_blob(rc, owned, part_records, part_out, mine);
+    detail::encode_rank_blob(rc, owned, part_records, part_out, mine);
     if (me != 0) {
       const std::uint64_t n = mine.size();
       comm.send(0, tag_result(), &n, 1);
@@ -658,103 +692,11 @@ class Job {
                   rank_blobs[static_cast<std::size_t>(src)].data(), n);
     }
     std::vector<std::byte> result_blob;
-    detail::put_u32(aborted ? 1 : 0, result_blob);
+    bytes::append_u32(result_blob, aborted ? 1 : 0);
     const std::vector<std::byte> assembled =
-        assemble_result(rank_blobs, partitions);
+        detail::assemble_result(rank_blobs, partitions);
     result_blob.insert(result_blob.end(), assembled.begin(), assembled.end());
     comm.set_result(result_blob.data(), result_blob.size());
-  }
-
-  /// Rank blob layout: [11 x u64 counters][u32 owned_count]
-  /// ([u32 partition][u64 records_in][u64 out_count] framed outputs)*.
-  static void encode_rank_blob(
-      const detail::RankCounters& rc, const std::vector<int>& owned,
-      const std::vector<std::size_t>& part_records,
-      const std::vector<std::vector<std::pair<K3, V3>>>& part_out,
-      std::vector<std::byte>& out) {
-    for (const std::uint64_t v :
-         {rc.map_outputs, rc.combine_outputs, rc.shuffle_records,
-          rc.shuffle_bytes, rc.local_bytes, rc.groups, rc.reduce_outputs,
-          rc.spills, rc.spilled_records, rc.spilled_bytes, rc.epochs})
-      detail::put_u64(v, out);
-    detail::put_u32(static_cast<std::uint32_t>(owned.size()), out);
-    RawRecord rec;
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      detail::put_u32(static_cast<std::uint32_t>(owned[i]), out);
-      detail::put_u64(part_records[i], out);
-      detail::put_u64(part_out[i].size(), out);
-      for (std::size_t k = 0; k < part_out[i].size(); ++k) {
-        rec.partition = static_cast<std::uint32_t>(owned[i]);
-        rec.task = 0;
-        rec.seq = static_cast<std::uint32_t>(k);
-        rec.key.clear();
-        rec.value.clear();
-        Codec<K3>::encode(part_out[i][k].first, rec.key);
-        Codec<V3>::encode(part_out[i][k].second, rec.value);
-        append_record(rec, out);
-      }
-    }
-  }
-
-  /// Merges every rank's blob into the final result blob rank 0 stashes:
-  /// [11 x u64 summed counters][u32 partitions][u64 records_in per
-  /// partition][u64 total outputs][framed outputs in partition order].
-  static std::vector<std::byte> assemble_result(
-      const std::vector<std::vector<std::byte>>& rank_blobs, int partitions) {
-    detail::RankCounters total;
-    std::vector<std::uint64_t> per_partition(
-        static_cast<std::size_t>(partitions), 0);
-    std::vector<std::vector<std::byte>> outputs(
-        static_cast<std::size_t>(partitions));
-    std::vector<std::uint64_t> out_counts(
-        static_cast<std::size_t>(partitions), 0);
-    for (const auto& blob : rank_blobs) {
-      std::size_t pos = 0;
-      std::uint64_t* const fields[] = {
-          &total.map_outputs, &total.combine_outputs, &total.shuffle_records,
-          &total.shuffle_bytes, &total.local_bytes, &total.groups,
-          &total.reduce_outputs, &total.spills, &total.spilled_records,
-          &total.spilled_bytes, &total.epochs};
-      for (std::uint64_t* f : fields) {
-        const std::uint64_t v = detail::take_u64(blob, pos);
-        // Epochs agree on every rank; everything else sums.
-        if (f == &total.epochs)
-          *f = std::max(*f, v);
-        else
-          *f += v;
-      }
-      const std::uint32_t owned_count = detail::take_u32(blob, pos);
-      RawRecord rec;
-      for (std::uint32_t i = 0; i < owned_count; ++i) {
-        const std::uint32_t p = detail::take_u32(blob, pos);
-        PEACHY_REQUIRE(p < per_partition.size(),
-                       "result blob names partition " << p << " of "
-                                                      << partitions);
-        per_partition[p] = detail::take_u64(blob, pos);
-        const std::uint64_t n = detail::take_u64(blob, pos);
-        out_counts[p] = n;
-        for (std::uint64_t k = 0; k < n; ++k) {
-          PEACHY_REQUIRE(read_record(blob, pos, rec),
-                         "result blob truncated mid-partition");
-          append_record(rec, outputs[p]);
-        }
-      }
-    }
-    std::vector<std::byte> out;
-    for (const std::uint64_t v :
-         {total.map_outputs, total.combine_outputs, total.shuffle_records,
-          total.shuffle_bytes, total.local_bytes, total.groups,
-          total.reduce_outputs, total.spills, total.spilled_records,
-          total.spilled_bytes, total.epochs})
-      detail::put_u64(v, out);
-    detail::put_u32(static_cast<std::uint32_t>(partitions), out);
-    for (const std::uint64_t n : per_partition) detail::put_u64(n, out);
-    std::uint64_t total_outputs = 0;
-    for (const std::uint64_t n : out_counts) total_outputs += n;
-    detail::put_u64(total_outputs, out);
-    for (const auto& part : outputs)
-      out.insert(out.end(), part.begin(), part.end());
-    return out;
   }
 
   Mapper mapper_;

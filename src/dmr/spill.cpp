@@ -6,56 +6,50 @@
 #include <cstring>
 #include <filesystem>
 
+#include "core/bytes.hpp"
 #include "core/error.hpp"
 
 namespace peachy::dmr {
 
 namespace {
 
-void put_u32(std::uint32_t v, std::vector<std::byte>& out) {
-  for (int i = 0; i < 4; ++i)
-    out.push_back(static_cast<std::byte>((v >> (8 * i)) & 0xff));
+constexpr std::size_t kHeaderBytes = 20;
+
+// Reads a record header into `rec`'s scalar fields and returns its key and
+// value lengths. The one place the header layout is parsed.
+std::pair<std::uint32_t, std::uint32_t> read_header(bytes::Reader& in,
+                                                    RawRecord& rec) {
+  rec.partition = in.u32();
+  rec.task = in.u32();
+  rec.seq = in.u32();
+  const std::uint32_t key_len = in.u32();
+  return {key_len, in.u32()};
 }
 
-std::uint32_t get_u32(const std::byte* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i)
-    v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
+bool read_exact(std::ifstream& is, void* dst, std::size_t n) {
+  is.read(static_cast<char*>(dst), static_cast<std::streamsize>(n));
+  return is.gcount() == static_cast<std::streamsize>(n);
 }
 
 }  // namespace
 
 void append_record(const RawRecord& rec, std::vector<std::byte>& out) {
-  out.reserve(out.size() + rec.framed_bytes());
-  put_u32(rec.partition, out);
-  put_u32(rec.task, out);
-  put_u32(rec.seq, out);
-  put_u32(static_cast<std::uint32_t>(rec.key.size()), out);
-  put_u32(static_cast<std::uint32_t>(rec.value.size()), out);
+  for (const std::uint32_t v :
+       {rec.partition, rec.task, rec.seq,
+        static_cast<std::uint32_t>(rec.key.size()),
+        static_cast<std::uint32_t>(rec.value.size())})
+    bytes::append_u32(out, v);
   out.insert(out.end(), rec.key.begin(), rec.key.end());
   out.insert(out.end(), rec.value.begin(), rec.value.end());
 }
 
-bool read_record(const std::vector<std::byte>& buf, std::size_t& pos,
-                 RawRecord& rec) {
-  if (pos == buf.size()) return false;
-  PEACHY_REQUIRE(buf.size() - pos >= 20,
-                 "dmr record frame truncated: " << buf.size() - pos
-                                                << " bytes left, need 20");
-  const std::byte* p = buf.data() + pos;
-  rec.partition = get_u32(p);
-  rec.task = get_u32(p + 4);
-  rec.seq = get_u32(p + 8);
-  const std::uint32_t key_len = get_u32(p + 12);
-  const std::uint32_t val_len = get_u32(p + 16);
-  PEACHY_REQUIRE(buf.size() - pos - 20 >= key_len + std::size_t{val_len},
-                 "dmr record payload truncated: need "
-                     << key_len + std::size_t{val_len} << " bytes, have "
-                     << buf.size() - pos - 20);
-  rec.key.assign(p + 20, p + 20 + key_len);
-  rec.value.assign(p + 20 + key_len, p + 20 + key_len + val_len);
-  pos += 20 + key_len + std::size_t{val_len};
+bool read_record(bytes::Reader& in, RawRecord& rec) {
+  if (in.at_end()) return false;
+  const auto [key_len, val_len] = read_header(in, rec);
+  const std::span<const std::byte> key = in.take(key_len);
+  const std::span<const std::byte> value = in.take(val_len);
+  rec.key.assign(key.begin(), key.end());
+  rec.value.assign(value.begin(), value.end());
   return true;
 }
 
@@ -80,34 +74,30 @@ void RunWriter::close() {
 }
 
 RunReader::RunReader(const std::string& path)
-    : is_(path, std::ios::binary), path_(path) {
+    : is_(path, std::ios::binary | std::ios::ate), path_(path) {
   PEACHY_REQUIRE(is_.good(), "cannot open spill run " << path);
+  left_ = static_cast<std::uint64_t>(is_.tellg());
+  is_.seekg(0, std::ios::beg);
 }
 
 bool RunReader::next(RawRecord& rec) {
-  char header[20];
-  is_.read(header, sizeof header);
-  if (is_.gcount() == 0 && is_.eof()) return false;
-  PEACHY_REQUIRE(is_.gcount() == sizeof header,
+  if (left_ == 0) return false;
+  std::byte header[kHeaderBytes];
+  PEACHY_REQUIRE(left_ >= kHeaderBytes && read_exact(is_, header, kHeaderBytes),
                  "spill run " << path_ << " torn mid-header");
-  const auto* h = reinterpret_cast<const std::byte*>(header);
-  rec.partition = get_u32(h);
-  rec.task = get_u32(h + 4);
-  rec.seq = get_u32(h + 8);
-  const std::uint32_t key_len = get_u32(h + 12);
-  const std::uint32_t val_len = get_u32(h + 16);
+  left_ -= kHeaderBytes;
+  bytes::Reader in(header);
+  const auto [key_len, val_len] = read_header(in, rec);
+  // Bound both lengths by the file before allocating: a torn or corrupt
+  // run must not ask for gigabytes.
+  PEACHY_REQUIRE(std::uint64_t{key_len} + val_len <= left_,
+                 "spill run " << path_ << " torn mid-record");
   rec.key.resize(key_len);
   rec.value.resize(val_len);
-  if (key_len) {
-    is_.read(reinterpret_cast<char*>(rec.key.data()), key_len);
-    PEACHY_REQUIRE(is_.gcount() == static_cast<std::streamsize>(key_len),
-                   "spill run " << path_ << " torn mid-key");
-  }
-  if (val_len) {
-    is_.read(reinterpret_cast<char*>(rec.value.data()), val_len);
-    PEACHY_REQUIRE(is_.gcount() == static_cast<std::streamsize>(val_len),
-                   "spill run " << path_ << " torn mid-value");
-  }
+  PEACHY_REQUIRE(read_exact(is_, rec.key.data(), key_len) &&
+                     read_exact(is_, rec.value.data(), val_len),
+                 "spill run " << path_ << " short read");
+  left_ -= std::uint64_t{key_len} + val_len;
   return true;
 }
 

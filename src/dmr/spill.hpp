@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "core/bytes.hpp"
+
 namespace peachy::dmr {
 
 /// One shuffle record in encoded form. `task` is the global map-task index
@@ -42,11 +44,9 @@ struct RawRecord {
 /// Appends the framed record to `out`.
 void append_record(const RawRecord& rec, std::vector<std::byte>& out);
 
-/// Reads one framed record starting at `pos` in `buf`; advances `pos`.
-/// Returns false when `pos` is at the end; throws peachy::Error on a
-/// truncated or corrupt frame.
-bool read_record(const std::vector<std::byte>& buf, std::size_t& pos,
-                 RawRecord& rec);
+/// Reads one framed record and advances `in` past it. Returns false when
+/// `in` is at its end; throws peachy::Error on a truncated frame.
+bool read_record(bytes::Reader& in, RawRecord& rec);
 
 /// Writes framed records to a run file. The writer is append-only; the
 /// caller sorts before writing.
@@ -70,12 +70,14 @@ class RunWriter {
 class RunReader {
  public:
   explicit RunReader(const std::string& path);
-  /// Reads the next record; false at a clean EOF, throws on a torn file.
+  /// Reads the next record; false at a clean EOF, throws on a torn file
+  /// or on a length field longer than the rest of the file.
   bool next(RawRecord& rec);
 
  private:
   std::ifstream is_;
   std::string path_;
+  std::uint64_t left_ = 0;  ///< bytes not yet read
 };
 
 /// A private spill directory, created on demand and removed on

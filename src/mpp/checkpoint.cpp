@@ -7,19 +7,18 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
+#include "core/bytes.hpp"
 #include "core/error.hpp"
 #include "core/timer.hpp"
-#include "net/wire.hpp"
 #include "obs/obs.hpp"
 
 namespace peachy::mpp {
 
 namespace {
 
-// File layout (little-endian, built on the net wire scalar helpers):
+// File layout: a sealed frame (core/bytes.hpp, DESIGN.md "Byte formats")
 //   u32 magic 'PCKP' | u32 version | u32 world | u32 epoch
 //   world x { u64 size | bytes }
 //   u32 crc32 of everything above
@@ -43,93 +42,46 @@ obs::Counter& obs_wait_ns() {
 
 }  // namespace
 
-void save_checkpoint(const std::string& dir, const CheckpointImage& image) {
-  std::vector<std::byte> buf;
-  net::append_u32(buf, kMagic);
-  net::append_u32(buf, kVersion);
-  net::append_u32(buf, static_cast<std::uint32_t>(image.blobs.size()));
-  net::append_u32(buf, static_cast<std::uint32_t>(image.epoch));
-  for (const auto& blob : image.blobs) {
-    net::append_u64(buf, blob.size());
-    net::append_bytes(buf, blob.data(), blob.size());
-  }
-  net::append_u32(buf, net::crc32(buf.data(), buf.size()));
+std::vector<std::byte> encode_checkpoint(const CheckpointImage& image) {
+  std::vector<std::byte> buf = bytes::begin_sealed(kMagic, kVersion);
+  bytes::append_u32(buf, static_cast<std::uint32_t>(image.blobs.size()));
+  bytes::append_u32(buf, static_cast<std::uint32_t>(image.epoch));
+  for (const auto& blob : image.blobs) bytes::append_blob(buf, blob);
+  bytes::seal(buf);
+  return buf;
+}
 
-  const std::filesystem::path tmp =
-      std::filesystem::path(dir) / "ckpt.tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    PEACHY_REQUIRE(out, "cannot open checkpoint temp file " << tmp.string());
-    out.write(reinterpret_cast<const char*>(buf.data()),
-              static_cast<std::streamsize>(buf.size()));
-    out.flush();
-    PEACHY_REQUIRE(out, "short write to checkpoint file " << tmp.string());
+CheckpointImage decode_checkpoint(std::span<const std::byte> file, int world,
+                                  const std::string& name) {
+  bytes::Reader in = bytes::unseal(file, kMagic, kVersion, name);
+  const std::uint32_t file_world = in.u32();
+  PEACHY_REQUIRE(file_world == static_cast<std::uint32_t>(world),
+                 name << " was written by a world of " << file_world
+                      << " ranks, not " << world);
+  CheckpointImage image;
+  image.epoch = static_cast<int>(in.u32());
+  image.blobs.resize(in.count(file_world, 8));
+  for (auto& blob : image.blobs) {
+    const std::span<const std::byte> b = in.blob();
+    blob.assign(b.begin(), b.end());
   }
-  // The commit point: readers see either the old image or the new one.
-  std::error_code ec;
-  std::filesystem::rename(tmp, committed_path(dir), ec);
-  PEACHY_REQUIRE(!ec, "cannot commit checkpoint " << committed_path(dir).string()
-                                                  << ": " << ec.message());
+  in.expect_end(name);
+  return image;
+}
+
+void save_checkpoint(const std::string& dir, const CheckpointImage& image) {
+  bytes::commit_file(committed_path(dir),
+                     std::filesystem::path(dir) / "ckpt.tmp",
+                     encode_checkpoint(image));
 }
 
 std::optional<CheckpointImage> load_checkpoint(const std::string& dir,
                                                int world) {
   const std::filesystem::path path = committed_path(dir);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;  // never checkpointed (or dir wiped) — fine
-  in.seekg(0, std::ios::end);
-  const std::streamoff len = in.tellg();
-  in.seekg(0, std::ios::beg);
-  std::vector<std::byte> buf(static_cast<std::size_t>(len > 0 ? len : 0));
-  in.read(reinterpret_cast<char*>(buf.data()),
-          static_cast<std::streamsize>(buf.size()));
-  PEACHY_REQUIRE(in.gcount() == static_cast<std::streamsize>(buf.size()),
-                 "short read from checkpoint " << path.string());
-
-  PEACHY_REQUIRE(buf.size() >= 20,
-                 "checkpoint " << path.string() << " is truncated ("
-                               << buf.size() << " bytes)");
-  const std::byte* p = buf.data();
-  const std::byte* crc_end = buf.data() + buf.size() - 4;
-  const std::byte* end = buf.data() + buf.size();
-
-  // Verify the trailing CRC over everything before it, first — every other
-  // field is untrustworthy until this passes.
-  {
-    const std::byte* q = crc_end;
-    const std::uint32_t stored = net::read_u32(q, end);
-    const std::uint32_t actual =
-        net::crc32(buf.data(), static_cast<std::size_t>(crc_end - buf.data()));
-    PEACHY_REQUIRE(stored == actual,
-                   "checkpoint " << path.string() << " is corrupt: crc "
-                                 << actual << " != stored " << stored);
-  }
-
-  PEACHY_REQUIRE(net::read_u32(p, crc_end) == kMagic,
-                 "checkpoint " << path.string() << " has bad magic");
-  const std::uint32_t version = net::read_u32(p, crc_end);
-  PEACHY_REQUIRE(version == kVersion,
-                 "checkpoint " << path.string() << " has version " << version
-                               << ", this build reads " << kVersion);
-  const std::uint32_t file_world = net::read_u32(p, crc_end);
-  PEACHY_REQUIRE(file_world == static_cast<std::uint32_t>(world),
-                 "checkpoint " << path.string() << " was written by a world of "
-                               << file_world << " ranks, not " << world);
-
-  CheckpointImage image;
-  image.epoch = static_cast<int>(net::read_u32(p, crc_end));
-  image.blobs.resize(file_world);
-  for (auto& blob : image.blobs) {
-    const std::uint64_t n = net::read_u64(p, crc_end);
-    PEACHY_REQUIRE(n <= static_cast<std::uint64_t>(crc_end - p),
-                   "checkpoint " << path.string()
-                                 << " is truncated inside a rank blob");
-    blob.assign(p, p + n);
-    p += n;
-  }
-  PEACHY_REQUIRE(p == crc_end, "checkpoint " << path.string()
-                                             << " has trailing garbage");
-  return image;
+  // No file: never checkpointed (or the directory was wiped) — fine.
+  const auto file = bytes::read_file(path);
+  if (!file) return std::nullopt;
+  return decode_checkpoint(*file, world, "checkpoint " + path.string());
 }
 
 CheckpointWriter::CheckpointWriter(std::string dir, Collect collect)

@@ -7,8 +7,9 @@
 // write-to-temp + atomic-rename protocol while the ranks carry on
 // computing. A checkpoint either exists completely (rename happened) or
 // not at all (a crash mid-write leaves only the temp file, which the next
-// load ignores). The payload carries a CRC32 so a torn or tampered file is
-// rejected loudly instead of restoring garbage state into every rank.
+// load ignores). The file is a sealed frame (core/bytes.hpp) whose CRC32
+// rejects a torn or tampered file loudly instead of restoring garbage
+// state into every rank.
 //
 // Durability contract: at most one write is in flight, so the committed
 // ckpt.bin lags the latest cut by at most one. The in-flight write is
@@ -23,6 +24,7 @@
 #include <functional>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,6 +40,14 @@ struct CheckpointImage {
 
 /// Name of the committed checkpoint file inside a checkpoint directory.
 inline constexpr const char* kCheckpointFile = "ckpt.bin";
+
+/// The ckpt.bin image of `image` (DESIGN.md "Byte formats").
+std::vector<std::byte> encode_checkpoint(const CheckpointImage& image);
+
+/// Parses a ckpt.bin image; throws peachy::Error when it is corrupt or was
+/// written by a world of a size other than `world`. `name` labels errors.
+CheckpointImage decode_checkpoint(std::span<const std::byte> file, int world,
+                                  const std::string& name = "checkpoint");
 
 /// Atomically commits `image` as `dir/ckpt.bin`. Throws peachy::Error on
 /// I/O failure; on success the previous checkpoint is replaced as a unit.

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <mutex>
@@ -11,11 +10,11 @@
 #include <thread>
 #include <utility>
 
+#include "core/bytes.hpp"
 #include "core/error.hpp"
 #include "net/metrics_server.hpp"
 #include "net/tcp.hpp"
 #include "net/transport.hpp"
-#include "net/wire.hpp"
 #include "obs/cluster.hpp"
 
 namespace peachy::mpp::telemetry {
@@ -24,27 +23,17 @@ namespace {
 
 constexpr std::uint32_t kSnapshotVersion = 1;
 
-void append_string(std::vector<std::byte>& out, const std::string& s) {
-  net::append_u32(out, static_cast<std::uint32_t>(s.size()));
-  net::append_bytes(out, s.data(), s.size());
+obs::MetricSample::Kind read_kind(bytes::Reader& in) {
+  const std::uint32_t kind = in.u32();
+  PEACHY_REQUIRE(kind <= 2, "telemetry snapshot has metric kind " << kind);
+  return static_cast<obs::MetricSample::Kind>(kind);
 }
 
-std::string read_string(const std::byte*& p, const std::byte* end) {
-  const std::uint32_t n = net::read_u32(p, end);
-  PEACHY_REQUIRE(static_cast<std::size_t>(end - p) >= n,
-                 "telemetry snapshot truncated inside a string");
-  std::string s(n, '\0');
-  if (n) std::memcpy(s.data(), p, n);
-  p += n;
-  return s;
-}
-
-void append_i64(std::vector<std::byte>& out, std::int64_t v) {
-  net::append_u64(out, static_cast<std::uint64_t>(v));
-}
-
-std::int64_t read_i64(const std::byte*& p, const std::byte* end) {
-  return static_cast<std::int64_t>(net::read_u64(p, end));
+// The phase lands verbatim in the merged Chrome trace JSON.
+obs::TraceEvent::Phase read_phase(bytes::Reader& in) {
+  const std::uint32_t ph = in.u32();
+  PEACHY_REQUIRE(ph == 'X' || ph == 'i', "telemetry snapshot has phase " << ph);
+  return static_cast<obs::TraceEvent::Phase>(ph);
 }
 
 }  // namespace
@@ -52,28 +41,29 @@ std::int64_t read_i64(const std::byte*& p, const std::byte* end) {
 std::vector<std::byte> encode_snapshot(
     int rank, const std::vector<obs::MetricSample>& samples,
     const std::vector<obs::TraceEvent>& events) {
+  using namespace bytes;
   std::vector<std::byte> out;
-  net::append_u32(out, kSnapshotVersion);
-  net::append_u32(out, static_cast<std::uint32_t>(rank));
-  net::append_u64(out, samples.size());
+  append_u32(out, kSnapshotVersion);
+  append_u32(out, static_cast<std::uint32_t>(rank));
+  append_u64(out, samples.size());
   for (const obs::MetricSample& s : samples) {
     append_string(out, s.name);
-    net::append_u32(out, static_cast<std::uint32_t>(s.kind));
+    append_u32(out, static_cast<std::uint32_t>(s.kind));
     append_i64(out, s.value);
-    net::append_u64(out, s.count);
+    append_u64(out, s.count);
     append_i64(out, s.sum);
-    net::append_u64(out, s.buckets.size());
-    for (std::uint64_t b : s.buckets) net::append_u64(out, b);
+    append_u64(out, s.buckets.size());
+    for (std::uint64_t b : s.buckets) append_u64(out, b);
   }
-  net::append_u64(out, events.size());
+  append_u64(out, events.size());
   for (const obs::TraceEvent& ev : events) {
     append_string(out, ev.name);
     append_string(out, ev.cat);
-    net::append_u32(out, static_cast<std::uint32_t>(ev.ph));
+    append_u32(out, static_cast<std::uint32_t>(ev.ph));
     append_i64(out, ev.ts_ns);
     append_i64(out, ev.dur_ns);
-    net::append_u32(out, static_cast<std::uint32_t>(ev.tid));
-    net::append_u64(out, ev.args.size());
+    append_u32(out, static_cast<std::uint32_t>(ev.tid));
+    append_u64(out, ev.args.size());
     for (const auto& [key, value] : ev.args) {
       append_string(out, key);
       append_i64(out, value);
@@ -83,56 +73,40 @@ std::vector<std::byte> encode_snapshot(
 }
 
 Snapshot decode_snapshot(const std::vector<std::byte>& payload) {
-  const std::byte* p = payload.data();
-  const std::byte* end = p + payload.size();
-  const std::uint32_t version = net::read_u32(p, end);
+  bytes::Reader in(payload);
+  const std::uint32_t version = in.u32();
   PEACHY_REQUIRE(version == kSnapshotVersion,
                  "telemetry snapshot version " << version << " != "
                                                << kSnapshotVersion);
   Snapshot snap;
-  snap.rank = static_cast<int>(net::read_u32(p, end));
+  snap.rank = static_cast<int>(in.u32());
   // Minimum encoded sizes: a sample is 40 bytes plus its name and buckets,
   // an event 40 bytes plus its strings and args, an arg 12 bytes.
-  const std::uint64_t n_samples = net::read_u64(p, end);
-  net::require_count(n_samples, 40, p, end);
-  snap.samples.reserve(n_samples);
-  for (std::uint64_t i = 0; i < n_samples; ++i) {
-    obs::MetricSample s;
-    s.name = read_string(p, end);
-    s.kind = static_cast<obs::MetricSample::Kind>(net::read_u32(p, end));
-    s.value = read_i64(p, end);
-    s.count = net::read_u64(p, end);
-    s.sum = read_i64(p, end);
-    const std::uint64_t n_buckets = net::read_u64(p, end);
-    net::require_count(n_buckets, 8, p, end);
-    s.buckets.reserve(n_buckets);
-    for (std::uint64_t b = 0; b < n_buckets; ++b)
-      s.buckets.push_back(net::read_u64(p, end));
-    snap.samples.push_back(std::move(s));
+  snap.samples.resize(in.count(in.u64(), 40));
+  for (obs::MetricSample& s : snap.samples) {
+    s.name = in.string();
+    s.kind = read_kind(in);
+    s.value = in.i64();
+    s.count = in.u64();
+    s.sum = in.i64();
+    s.buckets.resize(in.count(in.u64(), 8));
+    for (std::uint64_t& b : s.buckets) b = in.u64();
   }
-  const std::uint64_t n_events = net::read_u64(p, end);
-  net::require_count(n_events, 40, p, end);
-  snap.events.reserve(n_events);
-  for (std::uint64_t i = 0; i < n_events; ++i) {
-    obs::TraceEvent ev;
-    ev.name = read_string(p, end);
-    ev.cat = read_string(p, end);
-    ev.ph = static_cast<obs::TraceEvent::Phase>(net::read_u32(p, end));
-    ev.ts_ns = read_i64(p, end);
-    ev.dur_ns = read_i64(p, end);
-    ev.tid = static_cast<int>(net::read_u32(p, end));
-    const std::uint64_t n_args = net::read_u64(p, end);
-    net::require_count(n_args, 12, p, end);
-    ev.args.reserve(n_args);
-    for (std::uint64_t a = 0; a < n_args; ++a) {
-      std::string key = read_string(p, end);
-      const std::int64_t value = read_i64(p, end);
-      ev.args.emplace_back(std::move(key), value);
+  snap.events.resize(in.count(in.u64(), 40));
+  for (obs::TraceEvent& ev : snap.events) {
+    ev.name = in.string();
+    ev.cat = in.string();
+    ev.ph = read_phase(in);
+    ev.ts_ns = in.i64();
+    ev.dur_ns = in.i64();
+    ev.tid = static_cast<int>(in.u32());
+    ev.args.resize(in.count(in.u64(), 12));
+    for (auto& [key, value] : ev.args) {
+      key = in.string();
+      value = in.i64();
     }
-    snap.events.push_back(std::move(ev));
   }
-  PEACHY_REQUIRE(p == end, "telemetry snapshot has "
-                               << (end - p) << " trailing bytes");
+  in.expect_end("telemetry snapshot");
   return snap;
 }
 

@@ -20,53 +20,6 @@ int remaining_ms(Clock::time_point deadline) {
   return left > 0 ? static_cast<int>(left) : 0;
 }
 
-std::vector<std::byte> encode_report(const WorkerReport& r) {
-  std::vector<std::byte> out;
-  out.push_back(static_cast<std::byte>(r.ok ? 1 : 0));
-  append_u64(out, r.messages_sent);
-  append_u64(out, r.bytes_sent);
-  append_u64(out, r.retransmits);
-  append_u64(out, r.window_stalls);
-  append_u64(out, r.acks_sent);
-  append_u64(out, r.frames_abandoned);
-  append_u64(out, r.fault_dropped);
-  append_u64(out, r.fault_duplicated);
-  append_u64(out, r.fault_delayed);
-  append_u64(out, r.fault_severed);
-  append_u32(out, static_cast<std::uint32_t>(r.error.size()));
-  append_bytes(out, r.error.data(), r.error.size());
-  append_u32(out, static_cast<std::uint32_t>(r.result.size()));
-  append_bytes(out, r.result.data(), r.result.size());
-  return out;
-}
-
-WorkerReport decode_report(const std::vector<std::byte>& payload) {
-  WorkerReport r;
-  const std::byte* p = payload.data();
-  const std::byte* end = p + payload.size();
-  PEACHY_REQUIRE(p < end, "empty RESULT payload");
-  r.reported = true;
-  r.ok = std::to_integer<int>(*p++) != 0;
-  r.messages_sent = read_u64(p, end);
-  r.bytes_sent = read_u64(p, end);
-  r.retransmits = read_u64(p, end);
-  r.window_stalls = read_u64(p, end);
-  r.acks_sent = read_u64(p, end);
-  r.frames_abandoned = read_u64(p, end);
-  r.fault_dropped = read_u64(p, end);
-  r.fault_duplicated = read_u64(p, end);
-  r.fault_delayed = read_u64(p, end);
-  r.fault_severed = read_u64(p, end);
-  const std::uint32_t errlen = read_u32(p, end);
-  PEACHY_REQUIRE(end - p >= errlen, "truncated RESULT error string");
-  r.error.assign(reinterpret_cast<const char*>(p), errlen);
-  p += errlen;
-  const std::uint32_t bloblen = read_u32(p, end);
-  PEACHY_REQUIRE(end - p >= bloblen, "truncated RESULT blob");
-  r.result.assign(p, p + bloblen);
-  return r;
-}
-
 }  // namespace
 
 RendezvousServer::RendezvousServer(int world, bool collect_results,
@@ -128,8 +81,7 @@ void RendezvousServer::serve() {
   }
 
   // Phase 2: broadcast the table.
-  std::vector<std::byte> table;
-  for (int p : ports) append_u32(table, static_cast<std::uint32_t>(p));
+  const std::vector<std::byte> table = encode_table(ports);
   for (int r = 0; r < world_; ++r) {
     FrameHeader h;
     h.type = FrameType::kTable;
@@ -196,13 +148,7 @@ RendezvousSession rendezvous_register(const std::string& host, int port,
   PEACHY_REQUIRE(h.type == FrameType::kTable, "rank " << rank
                      << ": expected TABLE, got frame type "
                      << static_cast<int>(h.type));
-  PEACHY_REQUIRE(payload.size() == static_cast<std::size_t>(world) * 4,
-                 "rank " << rank << ": TABLE has " << payload.size()
-                         << " bytes, expected " << world * 4);
-  const std::byte* p = payload.data();
-  const std::byte* end = p + payload.size();
-  for (int r = 0; r < world; ++r)
-    session.peer_ports.push_back(static_cast<int>(read_u32(p, end)));
+  session.peer_ports = decode_table(payload, world);
   return session;
 }
 
@@ -212,6 +158,53 @@ void rendezvous_report(const Socket& sock, int rank, const WorkerReport& r) {
   h.type = FrameType::kResult;
   h.src = rank;
   send_frame(sock, h, payload.data(), payload.size());
+}
+
+std::vector<std::byte> encode_table(const std::vector<int>& ports) {
+  std::vector<std::byte> out;
+  for (const int p : ports)
+    bytes::append_u32(out, static_cast<std::uint32_t>(p));
+  return out;
+}
+
+std::vector<int> decode_table(std::span<const std::byte> payload, int world) {
+  PEACHY_REQUIRE(payload.size() == static_cast<std::size_t>(world) * 4,
+                 "TABLE has " << payload.size() << " bytes, expected "
+                              << world * 4);
+  bytes::Reader in(payload);
+  std::vector<int> ports;
+  for (int r = 0; r < world; ++r) ports.push_back(static_cast<int>(in.u32()));
+  return ports;
+}
+
+std::vector<std::byte> encode_report(const WorkerReport& r) {
+  std::vector<std::byte> out;
+  out.push_back(static_cast<std::byte>(r.ok ? 1 : 0));
+  for (const std::uint64_t v :
+       {r.messages_sent, r.bytes_sent, r.retransmits, r.window_stalls,
+        r.acks_sent, r.frames_abandoned, r.fault_dropped, r.fault_duplicated,
+        r.fault_delayed, r.fault_severed})
+    bytes::append_u64(out, v);
+  bytes::append_string(out, r.error);
+  bytes::append_u32(out, static_cast<std::uint32_t>(r.result.size()));
+  bytes::append_bytes(out, r.result.data(), r.result.size());
+  return out;
+}
+
+WorkerReport decode_report(std::span<const std::byte> payload) {
+  bytes::Reader in(payload);
+  WorkerReport r;
+  r.reported = true;
+  r.ok = in.u8() != 0;
+  for (std::uint64_t* v :
+       {&r.messages_sent, &r.bytes_sent, &r.retransmits, &r.window_stalls,
+        &r.acks_sent, &r.frames_abandoned, &r.fault_dropped,
+        &r.fault_duplicated, &r.fault_delayed, &r.fault_severed})
+    *v = in.u64();
+  r.error = in.string();
+  const std::span<const std::byte> result = in.take(in.u32());
+  r.result.assign(result.begin(), result.end());
+  return r;
 }
 
 }  // namespace peachy::net

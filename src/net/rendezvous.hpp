@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -93,5 +94,13 @@ RendezvousSession rendezvous_register(const std::string& host, int port,
 
 /// Sends the worker's RESULT frame over the (still open) session socket.
 void rendezvous_report(const Socket& sock, int rank, const WorkerReport& r);
+
+// Payload codecs (DESIGN.md "Byte formats"). TABLE: one u32 listen port
+// per rank. RESULT: u8 ok | 10 x u64 counters | string error | u32 length
+// | result bytes.
+std::vector<std::byte> encode_table(const std::vector<int>& ports);
+std::vector<int> decode_table(std::span<const std::byte> payload, int world);
+std::vector<std::byte> encode_report(const WorkerReport& r);
+WorkerReport decode_report(std::span<const std::byte> payload);
 
 }  // namespace peachy::net

@@ -363,7 +363,7 @@ void TcpTransport::send(int dest, int tag, const void* data,
   f->h.tag = tag;
   f->h.seq = p.send_seq++;
   f->h.len = static_cast<std::uint32_t>(bytes);
-  f->h.crc = bytes ? crc32(data, bytes) : 0;
+  f->h.crc = bytes ? bytes::crc32(data, bytes) : 0;
   f->payload.assign(static_cast<const std::byte*>(data),
                     static_cast<const std::byte*>(data) + bytes);
   f->staged_at = Clock::now();
@@ -770,11 +770,11 @@ void TcpTransport::handle_frame(int src, const FrameHeader& h,
       // the reader. A clock probe carries the sender's origin timestamp and
       // wants it echoed back next to our clock reading.
       if (payload.size() == 8) {
-        const std::byte* q = payload.data();
-        const std::uint64_t origin = read_u64(q, q + 8);
+        const std::uint64_t origin =
+            bytes::load_le<std::uint64_t>(payload.data());
         std::vector<std::byte> reply;
-        append_u64(reply, origin);
-        append_u64(reply, static_cast<std::uint64_t>(now_ns()));
+        bytes::append_u64(reply, origin);
+        bytes::append_u64(reply, static_cast<std::uint64_t>(now_ns()));
         FrameHeader pong;
         pong.type = FrameType::kPong;
         pong.src = rank_;
@@ -788,10 +788,9 @@ void TcpTransport::handle_frame(int src, const FrameHeader& h,
     }
     case FrameType::kPong: {
       if (payload.size() == 16) {
-        const std::byte* q = payload.data();
-        const std::byte* end = q + payload.size();
-        const auto origin = static_cast<std::int64_t>(read_u64(q, end));
-        const auto peer_now = static_cast<std::int64_t>(read_u64(q, end));
+        bytes::Reader in(payload);
+        const std::int64_t origin = in.i64();
+        const std::int64_t peer_now = in.i64();
         bool accepted = false;
         std::int64_t offset_us = 0;
         {
@@ -912,7 +911,7 @@ void TcpTransport::clock_pass() {
     p.last_probe_tx = now;
     ++p.probes_sent;
     std::vector<std::byte> origin;
-    append_u64(origin, static_cast<std::uint64_t>(now_ns()));
+    bytes::append_i64(origin, now_ns());
     FrameHeader probe;
     probe.type = FrameType::kPing;
     probe.src = rank_;
@@ -1055,7 +1054,7 @@ void TcpTransport::reader_loop() {
                 break;
               const std::byte* body = p.rx_buf.data() + off + kHeaderBytes;
               if (h.len) {
-                PEACHY_REQUIRE(crc32(body, h.len) == h.crc,
+                PEACHY_REQUIRE(bytes::crc32(body, h.len) == h.crc,
                                "payload CRC mismatch on a "
                                    << h.len << "-byte frame (corrupt link?)");
               }

@@ -30,6 +30,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/bytes.hpp"
 #include "core/error.hpp"
 
 namespace peachy::net {
@@ -92,9 +93,6 @@ inline bool seq_before(std::uint64_t a, std::uint64_t b) {
   return static_cast<std::int64_t>(a - b) < 0;
 }
 
-/// CRC32 (IEEE 802.3, polynomial 0xEDB88320, reflected).
-std::uint32_t crc32(const void* data, std::size_t bytes);
-
 /// Serializes `h` into exactly kHeaderBytes at `out`.
 void encode_header(const FrameHeader& h, std::byte* out);
 
@@ -121,19 +119,9 @@ bool recv_frame(const Socket& sock, FrameHeader& header,
                 std::vector<std::byte>& payload, int timeout_ms,
                 std::byte (*ctx_trailer)[kCtxTrailerBytes] = nullptr);
 
-// Little-endian scalar (de)serialization for frame payloads (rendezvous
-// tables, worker reports, result blobs).
-void append_u32(std::vector<std::byte>& out, std::uint32_t v);
-void append_u64(std::vector<std::byte>& out, std::uint64_t v);
-void append_bytes(std::vector<std::byte>& out, const void* data,
-                  std::size_t bytes);
-/// Reads advance `p`; running past `end` throws (truncated payload).
-std::uint32_t read_u32(const std::byte*& p, const std::byte* end);
-std::uint64_t read_u64(const std::byte*& p, const std::byte* end);
-/// Throws unless `count` elements of at least `min_bytes` each fit in the
-/// bytes left before `end`. Decoders call it before sizing anything from a
-/// length field, so a lying count fails loudly instead of allocating.
-void require_count(std::uint64_t count, std::size_t min_bytes,
-                   const std::byte* p, const std::byte* end);
+// Payload codecs live in core/bytes.hpp; these two names stay for callers
+// outside src/ that spell them net::.
+using bytes::append_u32;
+using bytes::append_u64;
 
 }  // namespace peachy::net

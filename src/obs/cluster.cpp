@@ -6,6 +6,8 @@
 #include <cstring>
 #include <random>
 
+#include "core/bytes.hpp"
+
 namespace peachy::obs::cluster {
 
 namespace {
@@ -16,30 +18,17 @@ std::atomic<std::uint64_t> g_span_counter{0};
 
 thread_local TraceContext tl_current;
 
-void put_u64(std::uint64_t v, std::byte* out) {
-  for (int i = 0; i < 8; ++i)
-    out[i] = static_cast<std::byte>((v >> (8 * i)) & 0xff);
-}
-
-std::uint64_t get_u64(const std::byte* in) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i)
-    v |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(in[i]))
-         << (8 * i);
-  return v;
-}
-
 }  // namespace
 
 void encode_context(const TraceContext& ctx, std::byte* out) {
-  put_u64(ctx.trace_id, out);
-  put_u64(ctx.span_id, out + 8);
+  bytes::store_le(out, ctx.trace_id);
+  bytes::store_le(out + 8, ctx.span_id);
 }
 
 TraceContext decode_context(const std::byte* in) {
   TraceContext ctx;
-  ctx.trace_id = get_u64(in);
-  ctx.span_id = get_u64(in + 8);
+  ctx.trace_id = bytes::load_le<std::uint64_t>(in);
+  ctx.span_id = bytes::load_le<std::uint64_t>(in + 8);
   return ctx;
 }
 

@@ -8,8 +8,8 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/bytes.hpp"
 #include "core/error.hpp"
-#include "net/wire.hpp"
 #include "sandpile/field.hpp"
 
 namespace peachy::sandpile::detail {
@@ -28,33 +28,31 @@ inline std::vector<std::byte> encode_result(const Field& field, bool stable,
   const int H = field.height(), W = field.width();
   std::vector<std::byte> blob;
   blob.reserve(13 + static_cast<std::size_t>(H) * W * sizeof(Cell));
-  net::append_u32(blob, static_cast<std::uint32_t>(H));
-  net::append_u32(blob, static_cast<std::uint32_t>(W));
-  net::append_u32(blob, static_cast<std::uint32_t>(rounds));
+  bytes::append_u32(blob, static_cast<std::uint32_t>(H));
+  bytes::append_u32(blob, static_cast<std::uint32_t>(W));
+  bytes::append_u32(blob, static_cast<std::uint32_t>(rounds));
   blob.push_back(static_cast<std::byte>(aborted ? 2 : (stable ? 1 : 0)));
   for (int y = 0; y < H; ++y)
-    for (int x = 0; x < W; ++x) net::append_u32(blob, field.at(y, x));
+    for (int x = 0; x < W; ++x) bytes::append_u32(blob, field.at(y, x));
   return blob;
 }
 
 inline ResultBlob decode_result(const std::vector<std::byte>& blob) {
-  const std::byte* p = blob.data();
-  const std::byte* end = p + blob.size();
+  bytes::Reader in(blob);
   ResultBlob r;
-  const std::uint32_t H = net::read_u32(p, end);
-  const std::uint32_t W = net::read_u32(p, end);
-  r.rounds = static_cast<int>(net::read_u32(p, end));
-  PEACHY_REQUIRE(p < end, "truncated sandpile result blob");
-  const int status = std::to_integer<int>(*p++);
+  const std::uint32_t H = in.u32();
+  const std::uint32_t W = in.u32();
+  r.rounds = static_cast<int>(in.u32());
+  const int status = in.u8();
   r.stable = status == 1;
   r.aborted = status == 2;
   PEACHY_REQUIRE(H >= 1 && W >= 1,
                  "sandpile result blob is " << H << "x" << W);
-  net::require_count(std::uint64_t{H} * W, sizeof(Cell), p, end);
+  in.count(std::uint64_t{H} * W, sizeof(Cell));
   r.field = Field(static_cast<int>(H), static_cast<int>(W));
   for (int y = 0; y < r.field.height(); ++y)
     for (int x = 0; x < r.field.width(); ++x)
-      r.field.at(y, x) = static_cast<Cell>(net::read_u32(p, end));
+      r.field.at(y, x) = static_cast<Cell>(in.u32());
   return r;
 }
 
@@ -74,11 +72,11 @@ struct SlabBlob {
 inline std::vector<std::byte> encode_slab(int round, const Grid2D<Cell>& grid) {
   std::vector<std::byte> blob;
   blob.reserve(12 + grid.size() * sizeof(Cell));
-  net::append_u32(blob, static_cast<std::uint32_t>(round));
-  net::append_u32(blob, static_cast<std::uint32_t>(grid.height()));
-  net::append_u32(blob, static_cast<std::uint32_t>(grid.width()));
+  bytes::append_u32(blob, static_cast<std::uint32_t>(round));
+  bytes::append_u32(blob, static_cast<std::uint32_t>(grid.height()));
+  bytes::append_u32(blob, static_cast<std::uint32_t>(grid.width()));
   for (std::size_t i = 0; i < grid.size(); ++i)
-    net::append_u32(blob, grid.data()[i]);
+    bytes::append_u32(blob, grid.data()[i]);
   return blob;
 }
 
@@ -86,19 +84,18 @@ inline std::vector<std::byte> encode_slab(int round, const Grid2D<Cell>& grid) {
 /// different decomposition must fail loudly, not restore into the wrong shape.
 inline SlabBlob decode_slab(const std::vector<std::byte>& blob, int rows,
                             int cols) {
-  const std::byte* p = blob.data();
-  const std::byte* end = p + blob.size();
+  bytes::Reader in(blob);
   SlabBlob s;
-  s.round = static_cast<int>(net::read_u32(p, end));
-  const int h = static_cast<int>(net::read_u32(p, end));
-  const int w = static_cast<int>(net::read_u32(p, end));
+  s.round = static_cast<int>(in.u32());
+  const int h = static_cast<int>(in.u32());
+  const int w = static_cast<int>(in.u32());
   PEACHY_REQUIRE(h == rows && w == cols,
                  "checkpoint slab is " << h << "x" << w << ", this rank needs "
                                        << rows << "x" << cols);
   s.grid = Grid2D<Cell>(h, w, 0);
   for (std::size_t i = 0; i < s.grid.size(); ++i)
-    s.grid.data()[i] = static_cast<Cell>(net::read_u32(p, end));
-  PEACHY_REQUIRE(p == end, "trailing garbage in checkpoint slab");
+    s.grid.data()[i] = static_cast<Cell>(in.u32());
+  in.expect_end("checkpoint slab");
   return s;
 }
 

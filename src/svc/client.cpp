@@ -102,10 +102,9 @@ std::pair<ReplyStatus, std::vector<std::byte>> Client::call_once(
   const auto status = static_cast<ReplyStatus>(rh.tag);
   if (status != ReplyStatus::kOk &&
       std::find(tolerate.begin(), tolerate.end(), status) == tolerate.end()) {
-    const std::byte* p = reply.data();
     std::string message;
     try {
-      message = read_string(p, p + reply.size());
+      message = bytes::Reader(reply).string();
     } catch (const std::exception&) {
       message = "(unreadable reply)";
     }
@@ -119,53 +118,51 @@ SubmitResult Client::submit(const JobSpec& spec) const {
   append_spec(payload, spec);
   auto [status, reply] =
       call(Op::kSubmit, payload, {ReplyStatus::kRejected});
-  const std::byte* p = reply.data();
-  const std::byte* end = p + reply.size();
+  bytes::Reader in(reply);
   SubmitResult r;
   if (status == ReplyStatus::kOk) {
     r.accepted = true;
-    r.id = net::read_u64(p, end);
+    r.id = in.u64();
   } else {
-    r.reject_reason = read_string(p, end);
+    r.reject_reason = in.string();
   }
   return r;
 }
 
 JobStatus Client::status(std::uint64_t id) const {
   std::vector<std::byte> payload;
-  net::append_u64(payload, id);
+  bytes::append_u64(payload, id);
   auto [status, reply] = call(Op::kStatus, payload);
-  const std::byte* p = reply.data();
-  return read_status(p, p + reply.size());
+  bytes::Reader in(reply);
+  return read_status(in);
 }
 
 std::vector<std::byte> Client::result(std::uint64_t id) const {
   std::vector<std::byte> payload;
-  net::append_u64(payload, id);
+  bytes::append_u64(payload, id);
   auto [status, reply] = call(Op::kResult, payload);
   return std::move(reply);
 }
 
 std::string Client::cancel(std::uint64_t id) const {
   std::vector<std::byte> payload;
-  net::append_u64(payload, id);
+  bytes::append_u64(payload, id);
   auto [status, reply] = call(Op::kCancel, payload);
-  const std::byte* p = reply.data();
-  return read_string(p, p + reply.size());
+  return bytes::Reader(reply).string();
 }
 
 std::vector<JobBrief> Client::list(const std::string& tenant) const {
   std::vector<std::byte> payload;
   append_string(payload, tenant);
   auto [status, reply] = call(Op::kList, payload);
-  const std::byte* p = reply.data();
-  return read_briefs(p, p + reply.size());
+  bytes::Reader in(reply);
+  return read_briefs(in);
 }
 
 ServiceStats Client::stats() const {
   auto [status, reply] = call(Op::kStats, {});
-  const std::byte* p = reply.data();
-  return read_stats(p, p + reply.size());
+  bytes::Reader in(reply);
+  return read_stats(in);
 }
 
 void Client::shutdown() const { call(Op::kShutdown, {}); }

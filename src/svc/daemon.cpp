@@ -22,6 +22,14 @@ namespace {
 
 constexpr int kRequestTimeoutMs = 5000;
 
+/// A reply whose payload is one message string.
+std::pair<ReplyStatus, std::vector<std::byte>> message(ReplyStatus status,
+                                                       const std::string& text) {
+  std::vector<std::byte> reply;
+  append_string(reply, text);
+  return {status, std::move(reply)};
+}
+
 /// Parses "alice=3,bob=1" into (tenant, weight) pairs; throws on junk.
 std::vector<std::pair<std::string, int>> parse_weights(
     const std::string& spec) {
@@ -169,20 +177,15 @@ void Daemon::handle_connection(net::Socket conn) {
   net::FrameHeader header;
   std::vector<std::byte> payload;
   if (!net::recv_frame(conn, header, payload, kRequestTimeoutMs)) return;
-  ReplyStatus status = ReplyStatus::kError;
-  std::vector<std::byte> reply;
-  if (header.type != net::FrameType::kJobRequest) {
-    append_string(reply, "expected a kJobRequest frame");
-  } else {
-    try {
-      std::tie(status, reply) =
-          handle_request(static_cast<Op>(header.tag), payload);
-    } catch (const std::exception& e) {
-      status = ReplyStatus::kError;
-      reply.clear();
-      append_string(reply, e.what());
-    }
+  std::pair<ReplyStatus, std::vector<std::byte>> answer;
+  try {
+    answer = header.type == net::FrameType::kJobRequest
+                 ? handle_request(static_cast<Op>(header.tag), payload)
+                 : message(ReplyStatus::kError, "expected a kJobRequest frame");
+  } catch (const std::exception& e) {
+    answer = message(ReplyStatus::kError, e.what());
   }
+  const auto& [status, reply] = answer;
   net::FrameHeader rh;
   rh.type = net::FrameType::kJobReply;
   rh.tag = static_cast<std::int32_t>(status);
@@ -192,19 +195,18 @@ void Daemon::handle_connection(net::Socket conn) {
 
 std::pair<ReplyStatus, std::vector<std::byte>> Daemon::handle_request(
     Op op, const std::vector<std::byte>& payload) {
-  const std::byte* p = payload.data();
-  const std::byte* end = p + payload.size();
+  bytes::Reader in(payload);
   std::vector<std::byte> reply;
   switch (op) {
     case Op::kSubmit:
       return handle_submit(payload);
     case Op::kStatus: {
-      const std::uint64_t id = net::read_u64(p, end);
+      const std::uint64_t id = in.u64();
       std::lock_guard<std::mutex> lock(mu_);
       const auto it = jobs_.find(id);
       if (it == jobs_.end()) {
-        append_string(reply, "no job " + std::to_string(id));
-        return {ReplyStatus::kNotFound, std::move(reply)};
+        return message(ReplyStatus::kNotFound,
+                       "no job " + std::to_string(id));
       }
       const JobRecord& rec = it->second;
       JobStatus s;
@@ -221,35 +223,35 @@ std::pair<ReplyStatus, std::vector<std::byte>> Daemon::handle_request(
       return {ReplyStatus::kOk, std::move(reply)};
     }
     case Op::kResult: {
-      const std::uint64_t id = net::read_u64(p, end);
+      const std::uint64_t id = in.u64();
       std::lock_guard<std::mutex> lock(mu_);
       const auto it = jobs_.find(id);
       if (it == jobs_.end()) {
-        append_string(reply, "no job " + std::to_string(id));
-        return {ReplyStatus::kNotFound, std::move(reply)};
+        return message(ReplyStatus::kNotFound,
+                       "no job " + std::to_string(id));
       }
       if (it->second.state != JobState::kDone) {
-        append_string(reply, "job " + std::to_string(id) + " is " +
-                                 to_string(it->second.state) +
-                                 (it->second.error.empty()
-                                      ? ""
-                                      : ": " + it->second.error));
-        return {ReplyStatus::kError, std::move(reply)};
+        return message(ReplyStatus::kError,
+                       "job " + std::to_string(id) + " is " +
+                           to_string(it->second.state) +
+                           (it->second.error.empty()
+                                ? ""
+                                : ": " + it->second.error));
       }
       return {ReplyStatus::kOk, it->second.result};
     }
     case Op::kCancel: {
-      const std::uint64_t id = net::read_u64(p, end);
+      const std::uint64_t id = in.u64();
       std::lock_guard<std::mutex> lock(mu_);
       const auto it = jobs_.find(id);
       if (it == jobs_.end()) {
-        append_string(reply, "no job " + std::to_string(id));
-        return {ReplyStatus::kNotFound, std::move(reply)};
+        return message(ReplyStatus::kNotFound,
+                       "no job " + std::to_string(id));
       }
       JobRecord& rec = it->second;
       if (is_terminal(rec.state)) {
-        append_string(reply, std::string("already ") + to_string(rec.state));
-        return {ReplyStatus::kOk, std::move(reply)};
+        return message(ReplyStatus::kOk,
+                       std::string("already ") + to_string(rec.state));
       }
       if (rec.state == JobState::kQueued && sched_.remove(id)) {
         rec.state = JobState::kCancelled;
@@ -259,17 +261,15 @@ std::pair<ReplyStatus, std::vector<std::byte>> Daemon::handle_request(
         // The dequeue may unblock the dispatcher (a wide job behind this
         // one could now be at the front).
         dispatch_cv_.notify_all();
-        append_string(reply, "cancelled");
-        return {ReplyStatus::kOk, std::move(reply)};
+        return message(ReplyStatus::kOk, "cancelled");
       }
       // RUNNING (or just picked): cooperative — the job's should_abort
       // sees the flag at its next poll point.
       cancel_requested_.insert(id);
-      append_string(reply, "cancellation requested");
-      return {ReplyStatus::kOk, std::move(reply)};
+      return message(ReplyStatus::kOk, "cancellation requested");
     }
     case Op::kList: {
-      const std::string tenant = read_string(p, end);
+      const std::string tenant = in.string();
       std::lock_guard<std::mutex> lock(mu_);
       std::vector<JobBrief> briefs;
       for (const auto& [id, rec] : jobs_) {
@@ -284,8 +284,7 @@ std::pair<ReplyStatus, std::vector<std::byte>> Daemon::handle_request(
       std::lock_guard<std::mutex> lock(mu_);
       shutdown_requested_ = true;
       shutdown_cv_.notify_all();
-      append_string(reply, "shutting down");
-      return {ReplyStatus::kOk, std::move(reply)};
+      return message(ReplyStatus::kOk, "shutting down");
     }
     case Op::kStats: {
       const ServiceStats s = stats();
@@ -293,37 +292,33 @@ std::pair<ReplyStatus, std::vector<std::byte>> Daemon::handle_request(
       return {ReplyStatus::kOk, std::move(reply)};
     }
   }
-  append_string(reply, "unknown op " + std::to_string(static_cast<int>(op)));
-  return {ReplyStatus::kError, std::move(reply)};
+  return message(ReplyStatus::kError,
+                 "unknown op " + std::to_string(static_cast<int>(op)));
 }
 
 std::pair<ReplyStatus, std::vector<std::byte>> Daemon::handle_submit(
     const std::vector<std::byte>& payload) {
-  const std::byte* p = payload.data();
-  const std::byte* end = p + payload.size();
-  const JobSpec spec = read_spec(p, end);
+  bytes::Reader in(payload);
+  const JobSpec spec = read_spec(in);
   std::vector<std::byte> reply;
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_ || shutdown_requested_) {
-    append_string(reply, "daemon is shutting down");
-    return {ReplyStatus::kRejected, std::move(reply)};
+    return message(ReplyStatus::kRejected, "daemon is shutting down");
   }
   // Admission control: reject-with-reason instead of queueing without
   // bound. A job wider than the pool could never run — reject it too.
   if (static_cast<int>(spec.ranks) > pool_.capacity()) {
     ++rejected_;
     bump("rejected", spec.tenant);
-    append_string(reply, "job wants " + std::to_string(spec.ranks) +
-                             " ranks, pool has " +
-                             std::to_string(pool_.capacity()));
-    return {ReplyStatus::kRejected, std::move(reply)};
+    return message(ReplyStatus::kRejected,
+                   "job wants " + std::to_string(spec.ranks) +
+                       " ranks, pool has " + std::to_string(pool_.capacity()));
   }
   const std::string refusal = sched_.try_admit(spec.tenant);
   if (!refusal.empty()) {
     ++rejected_;
     bump("rejected", spec.tenant);
-    append_string(reply, refusal);
-    return {ReplyStatus::kRejected, std::move(reply)};
+    return message(ReplyStatus::kRejected, refusal);
   }
   JobRecord rec;
   const std::uint64_t id = rec.id = store_.allocate_id();
@@ -338,7 +333,7 @@ std::pair<ReplyStatus, std::vector<std::byte>> Daemon::handle_submit(
   bump("submitted", spec.tenant);
   obs::Registry::global().gauge("svc.jobs.queued").set(sched_.queued());
   dispatch_cv_.notify_all();
-  net::append_u64(reply, id);
+  bytes::append_u64(reply, id);
   return {ReplyStatus::kOk, std::move(reply)};
 }
 

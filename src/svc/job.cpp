@@ -1,8 +1,6 @@
 #include "svc/job.hpp"
 
 #include "core/error.hpp"
-#include "net/wire.hpp"
-#include "svc/protocol.hpp"
 
 namespace peachy::svc {
 
@@ -51,78 +49,75 @@ const char* to_string(JobState state) {
   return "?";
 }
 
-void append_spec(std::vector<std::byte>& out, const JobSpec& spec) {
-  net::append_u32(out, static_cast<std::uint32_t>(spec.kind));
-  append_string(out, spec.tenant);
-  append_string(out, spec.name);
-  net::append_u32(out, spec.ranks);
-  net::append_u32(out, static_cast<std::uint32_t>(spec.isolation));
-  net::append_u32(out, spec.deadline_ms);
+namespace {
+
+// Calls `u32` / `u64` on each kind-specific parameter of `spec` in encoded
+// order; the encoder and the decoder share it, so they cannot drift apart.
+template <typename Spec, typename U32, typename U64>
+void visit_params(Spec& spec, U32 u32, U64 u64) {
   switch (spec.kind) {
     case JobKind::kSandpile:
-      net::append_u32(out, spec.sandpile.height);
-      net::append_u32(out, spec.sandpile.width);
-      net::append_u32(out, spec.sandpile.grains);
-      net::append_u32(out, spec.sandpile.halo_depth);
-      net::append_u32(out, spec.sandpile.checkpoint_every);
+      for (auto* v : {&spec.sandpile.height, &spec.sandpile.width,
+                      &spec.sandpile.grains, &spec.sandpile.halo_depth,
+                      &spec.sandpile.checkpoint_every})
+        u32(*v);
       break;
     case JobKind::kDmr:
-      net::append_u32(out, spec.dmr.words);
-      net::append_u64(out, spec.dmr.seed);
-      net::append_u32(out, spec.dmr.vocabulary);
-      net::append_u32(out, spec.dmr.map_tasks);
-      net::append_u32(out, spec.dmr.partitions);
-      net::append_u32(out, spec.dmr.map_epochs);
-      net::append_u32(out, spec.dmr.checkpoint_every);
-      net::append_u32(out, spec.dmr.fault_abort_at);
+      u32(spec.dmr.words);
+      u64(spec.dmr.seed);
+      for (auto* v : {&spec.dmr.vocabulary, &spec.dmr.map_tasks,
+                      &spec.dmr.partitions, &spec.dmr.map_epochs,
+                      &spec.dmr.checkpoint_every, &spec.dmr.fault_abort_at})
+        u32(*v);
       break;
     case JobKind::kWfsim:
-      net::append_u32(out, spec.wfsim.sweep_steps);
-      net::append_u32(out, spec.wfsim.nodes_on);
-      net::append_u32(out, spec.wfsim.pstate);
+      for (auto* v : {&spec.wfsim.sweep_steps, &spec.wfsim.nodes_on,
+                      &spec.wfsim.pstate})
+        u32(*v);
       break;
   }
 }
 
-JobSpec read_spec(const std::byte*& p, const std::byte* end) {
+}  // namespace
+
+void append_spec(std::vector<std::byte>& out, const JobSpec& spec) {
+  bytes::append_u32(out, static_cast<std::uint32_t>(spec.kind));
+  bytes::append_string(out, spec.tenant);
+  bytes::append_string(out, spec.name);
+  bytes::append_u32(out, spec.ranks);
+  bytes::append_u32(out, static_cast<std::uint32_t>(spec.isolation));
+  bytes::append_u32(out, spec.deadline_ms);
+  visit_params(spec, [&](std::uint32_t v) { bytes::append_u32(out, v); },
+               [&](std::uint64_t v) { bytes::append_u64(out, v); });
+}
+
+JobKind read_kind(bytes::Reader& in) {
+  const std::uint32_t kind = in.u32();
+  PEACHY_REQUIRE(kind >= 1 && kind <= 3, "unknown job kind " << kind);
+  return static_cast<JobKind>(kind);
+}
+
+JobState read_state(bytes::Reader& in) {
+  const std::uint32_t state = in.u32();
+  PEACHY_REQUIRE(state >= 1 && state <= 5, "unknown job state " << state);
+  return static_cast<JobState>(state);
+}
+
+JobSpec read_spec(bytes::Reader& in) {
   JobSpec spec;
-  const std::uint32_t kind = net::read_u32(p, end);
-  PEACHY_REQUIRE(kind >= 1 && kind <= 3, "job spec has unknown kind " << kind);
-  spec.kind = static_cast<JobKind>(kind);
-  spec.tenant = read_string(p, end);
-  spec.name = read_string(p, end);
-  spec.ranks = net::read_u32(p, end);
+  spec.kind = read_kind(in);
+  spec.tenant = in.string();
+  spec.name = in.string();
+  spec.ranks = in.u32();
   PEACHY_REQUIRE(spec.ranks >= 1 && spec.ranks <= 4096,
                  "job spec wants " << spec.ranks << " ranks");
-  const std::uint32_t isolation = net::read_u32(p, end);
+  const std::uint32_t isolation = in.u32();
   PEACHY_REQUIRE(isolation <= 2,
                  "job spec has unknown isolation " << isolation);
   spec.isolation = static_cast<Isolation>(isolation);
-  spec.deadline_ms = net::read_u32(p, end);
-  switch (spec.kind) {
-    case JobKind::kSandpile:
-      spec.sandpile.height = net::read_u32(p, end);
-      spec.sandpile.width = net::read_u32(p, end);
-      spec.sandpile.grains = net::read_u32(p, end);
-      spec.sandpile.halo_depth = net::read_u32(p, end);
-      spec.sandpile.checkpoint_every = net::read_u32(p, end);
-      break;
-    case JobKind::kDmr:
-      spec.dmr.words = net::read_u32(p, end);
-      spec.dmr.seed = net::read_u64(p, end);
-      spec.dmr.vocabulary = net::read_u32(p, end);
-      spec.dmr.map_tasks = net::read_u32(p, end);
-      spec.dmr.partitions = net::read_u32(p, end);
-      spec.dmr.map_epochs = net::read_u32(p, end);
-      spec.dmr.checkpoint_every = net::read_u32(p, end);
-      spec.dmr.fault_abort_at = net::read_u32(p, end);
-      break;
-    case JobKind::kWfsim:
-      spec.wfsim.sweep_steps = net::read_u32(p, end);
-      spec.wfsim.nodes_on = net::read_u32(p, end);
-      spec.wfsim.pstate = net::read_u32(p, end);
-      break;
-  }
+  spec.deadline_ms = in.u32();
+  visit_params(spec, [&](std::uint32_t& v) { v = in.u32(); },
+               [&](std::uint64_t& v) { v = in.u64(); });
   return spec;
 }
 

@@ -20,6 +20,8 @@
 #include <string>
 #include <vector>
 
+#include "core/bytes.hpp"
+
 namespace peachy::svc {
 
 enum class JobKind : std::uint32_t {
@@ -124,9 +126,12 @@ struct JobRecord {
   std::uint64_t peak_rss_bytes = 0;
 };
 
-// Spec/record byte codecs (little-endian, net/wire scalar helpers). Used
-// by both the wire protocol and the on-disk queue.
+// Spec codec (DESIGN.md "Byte formats"), shared by the wire protocol and
+// the on-disk queue. The readers throw peachy::Error on a value outside
+// its enum.
 void append_spec(std::vector<std::byte>& out, const JobSpec& spec);
-JobSpec read_spec(const std::byte*& p, const std::byte* end);
+JobSpec read_spec(bytes::Reader& in);
+JobKind read_kind(bytes::Reader& in);
+JobState read_state(bytes::Reader& in);
 
 }  // namespace peachy::svc

@@ -1,101 +1,76 @@
 #include "svc/protocol.hpp"
 
-#include <cstring>
-
 #include "core/error.hpp"
 
 namespace peachy::svc {
 
-void append_string(std::vector<std::byte>& out, const std::string& s) {
-  net::append_u32(out, static_cast<std::uint32_t>(s.size()));
-  const auto* bytes = reinterpret_cast<const std::byte*>(s.data());
-  out.insert(out.end(), bytes, bytes + s.size());
-}
-
-std::string read_string(const std::byte*& p, const std::byte* end) {
-  const std::uint32_t n = net::read_u32(p, end);
-  PEACHY_REQUIRE(static_cast<std::size_t>(end - p) >= n,
-                 "truncated string payload (wants " << n << " bytes, has "
-                                                    << (end - p) << ")");
-  std::string s(n, '\0');
-  if (n > 0) std::memcpy(s.data(), p, n);
-  p += n;
-  return s;
-}
+using bytes::append_u32;
+using bytes::append_u64;
 
 void append_status(std::vector<std::byte>& out, const JobStatus& s) {
-  net::append_u64(out, s.id);
-  net::append_u32(out, static_cast<std::uint32_t>(s.state));
-  net::append_u32(out, static_cast<std::uint32_t>(s.kind));
+  append_u64(out, s.id);
+  append_u32(out, static_cast<std::uint32_t>(s.state));
+  append_u32(out, static_cast<std::uint32_t>(s.kind));
   append_string(out, s.tenant);
   append_string(out, s.name);
   append_string(out, s.error);
-  net::append_u32(out, s.restarts);
-  net::append_u64(out, s.peak_rss_bytes);
-  net::append_u32(out, s.has_result ? 1 : 0);
+  append_u32(out, s.restarts);
+  append_u64(out, s.peak_rss_bytes);
+  append_u32(out, s.has_result ? 1 : 0);
 }
 
-JobStatus read_status(const std::byte*& p, const std::byte* end) {
+JobStatus read_status(bytes::Reader& in) {
   JobStatus s;
-  s.id = net::read_u64(p, end);
-  s.state = static_cast<JobState>(net::read_u32(p, end));
-  s.kind = static_cast<JobKind>(net::read_u32(p, end));
-  s.tenant = read_string(p, end);
-  s.name = read_string(p, end);
-  s.error = read_string(p, end);
-  s.restarts = net::read_u32(p, end);
-  s.peak_rss_bytes = net::read_u64(p, end);
-  s.has_result = net::read_u32(p, end) != 0;
+  s.id = in.u64();
+  s.state = read_state(in);
+  s.kind = read_kind(in);
+  s.tenant = in.string();
+  s.name = in.string();
+  s.error = in.string();
+  s.restarts = in.u32();
+  s.peak_rss_bytes = in.u64();
+  s.has_result = in.u32() != 0;
   return s;
 }
 
 void append_briefs(std::vector<std::byte>& out,
                    const std::vector<JobBrief>& briefs) {
-  net::append_u32(out, static_cast<std::uint32_t>(briefs.size()));
+  append_u32(out, static_cast<std::uint32_t>(briefs.size()));
   for (const JobBrief& b : briefs) {
-    net::append_u64(out, b.id);
-    net::append_u32(out, static_cast<std::uint32_t>(b.kind));
-    net::append_u32(out, static_cast<std::uint32_t>(b.state));
+    append_u64(out, b.id);
+    append_u32(out, static_cast<std::uint32_t>(b.kind));
+    append_u32(out, static_cast<std::uint32_t>(b.state));
     append_string(out, b.tenant);
     append_string(out, b.name);
   }
 }
 
-std::vector<JobBrief> read_briefs(const std::byte*& p, const std::byte* end) {
-  const std::uint32_t n = net::read_u32(p, end);
-  std::vector<JobBrief> briefs;
-  briefs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    JobBrief b;
-    b.id = net::read_u64(p, end);
-    b.kind = static_cast<JobKind>(net::read_u32(p, end));
-    b.state = static_cast<JobState>(net::read_u32(p, end));
-    b.tenant = read_string(p, end);
-    b.name = read_string(p, end);
-    briefs.push_back(std::move(b));
+std::vector<JobBrief> read_briefs(bytes::Reader& in) {
+  // A brief is at least 24 bytes: id, kind, state and two string lengths.
+  std::vector<JobBrief> briefs(in.count(in.u32(), 24));
+  for (JobBrief& b : briefs) {
+    b.id = in.u64();
+    b.kind = read_kind(in);
+    b.state = read_state(in);
+    b.tenant = in.string();
+    b.name = in.string();
   }
   return briefs;
 }
 
 void append_stats(std::vector<std::byte>& out, const ServiceStats& s) {
-  net::append_u32(out, s.queued);
-  net::append_u32(out, s.running);
-  net::append_u32(out, s.pool_ranks);
-  net::append_u32(out, s.busy_ranks);
-  net::append_u64(out, s.submitted);
-  net::append_u64(out, s.completed);
-  net::append_u64(out, s.rejected);
+  for (const std::uint32_t v : {s.queued, s.running, s.pool_ranks, s.busy_ranks})
+    append_u32(out, v);
+  for (const std::uint64_t v : {s.submitted, s.completed, s.rejected})
+    append_u64(out, v);
 }
 
-ServiceStats read_stats(const std::byte*& p, const std::byte* end) {
+ServiceStats read_stats(bytes::Reader& in) {
   ServiceStats s;
-  s.queued = net::read_u32(p, end);
-  s.running = net::read_u32(p, end);
-  s.pool_ranks = net::read_u32(p, end);
-  s.busy_ranks = net::read_u32(p, end);
-  s.submitted = net::read_u64(p, end);
-  s.completed = net::read_u64(p, end);
-  s.rejected = net::read_u64(p, end);
+  for (std::uint32_t* v : {&s.queued, &s.running, &s.pool_ranks, &s.busy_ranks})
+    *v = in.u32();
+  for (std::uint64_t* v : {&s.submitted, &s.completed, &s.rejected})
+    *v = in.u64();
   return s;
 }
 

@@ -6,8 +6,8 @@
 // request per connection keeps the daemon's serving loop single-threaded
 // and stateless per client — the rendezvous/metrics-server discipline, not
 // a general RPC system. Payloads are little-endian scalar/string tuples
-// built with the net wire helpers; a malformed payload throws at decode
-// and the daemon answers kError with the message instead of dying.
+// (DESIGN.md "Byte formats"); a malformed payload throws at decode and the
+// daemon answers kError with the message instead of dying.
 #pragma once
 
 #include <cstdint>
@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "net/wire.hpp"
+#include "core/bytes.hpp"
 #include "svc/job.hpp"
 
 namespace peachy::svc {
@@ -73,17 +73,18 @@ struct ServiceStats {
   std::uint64_t rejected = 0;
 };
 
-// String payload helpers (u32 length + bytes), shared by every codec here.
-void append_string(std::vector<std::byte>& out, const std::string& s);
-std::string read_string(const std::byte*& p, const std::byte* end);
+// Strings are u32 length + bytes (core/bytes.hpp); this name stays for
+// callers outside src/ that spell it svc::.
+using bytes::append_string;
 
-// Reply body codecs (the daemon encodes, the client decodes).
+// Reply body codecs (the daemon encodes, the client decodes). The readers
+// throw peachy::Error on a value outside its enum.
 void append_status(std::vector<std::byte>& out, const JobStatus& s);
-JobStatus read_status(const std::byte*& p, const std::byte* end);
+JobStatus read_status(bytes::Reader& in);
 void append_briefs(std::vector<std::byte>& out,
                    const std::vector<JobBrief>& briefs);
-std::vector<JobBrief> read_briefs(const std::byte*& p, const std::byte* end);
+std::vector<JobBrief> read_briefs(bytes::Reader& in);
 void append_stats(std::vector<std::byte>& out, const ServiceStats& s);
-ServiceStats read_stats(const std::byte*& p, const std::byte* end);
+ServiceStats read_stats(bytes::Reader& in);
 
 }  // namespace peachy::svc

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <system_error>
 
+#include "core/bytes.hpp"
 #include "core/error.hpp"
-#include "net/wire.hpp"
-#include "svc/protocol.hpp"
 
 namespace fs = std::filesystem;
 
@@ -16,7 +14,7 @@ namespace peachy::svc {
 
 namespace {
 
-// Record layout (little-endian, net wire scalar helpers):
+// Record layout: a sealed frame (core/bytes.hpp, DESIGN.md "Byte formats")
 //   u32 magic 'PSVJ' | u32 version | u64 id | u32 state | u32 restarts
 //   | u64 peak_rss_bytes | spec (append_spec) | string error
 //   | u64 result size | result bytes | u32 crc32 of everything above
@@ -28,71 +26,44 @@ constexpr std::uint32_t kMagic = 0x4a565350;  // "PSVJ"
 // retires records quickly anyway.
 constexpr std::uint32_t kVersion = 3;
 
-std::vector<std::byte> encode_record(const JobRecord& rec) {
-  std::vector<std::byte> buf;
-  net::append_u32(buf, kMagic);
-  net::append_u32(buf, kVersion);
-  net::append_u64(buf, rec.id);
-  net::append_u32(buf, static_cast<std::uint32_t>(rec.state));
-  net::append_u32(buf, rec.restarts);
-  net::append_u64(buf, rec.peak_rss_bytes);
-  append_spec(buf, rec.spec);
-  append_string(buf, rec.error);
-  net::append_u64(buf, rec.result.size());
-  net::append_bytes(buf, rec.result.data(), rec.result.size());
-  net::append_u32(buf, net::crc32(buf.data(), buf.size()));
-  return buf;
-}
-
-// Throws on any structural problem; callers translate that into "skip".
-JobRecord decode_record(const std::vector<std::byte>& buf) {
-  PEACHY_REQUIRE(buf.size() >= 28, "job record is truncated (" << buf.size()
-                                                               << " bytes)");
-  const std::byte* crc_end = buf.data() + buf.size() - 4;
-  {
-    const std::byte* q = crc_end;
-    const std::uint32_t stored = net::read_u32(q, buf.data() + buf.size());
-    const std::uint32_t actual =
-        net::crc32(buf.data(), static_cast<std::size_t>(crc_end - buf.data()));
-    PEACHY_REQUIRE(stored == actual, "job record CRC mismatch");
+// A record that cannot be read or decoded counts as absent.
+std::optional<JobRecord> load_record(const fs::path& path) {
+  try {
+    if (const auto buf = bytes::read_file(path)) return decode_record(*buf);
+  } catch (const std::exception&) {
   }
-  const std::byte* p = buf.data();
-  PEACHY_REQUIRE(net::read_u32(p, crc_end) == kMagic, "bad job record magic");
-  PEACHY_REQUIRE(net::read_u32(p, crc_end) == kVersion,
-                 "unsupported job record version");
-  JobRecord rec;
-  rec.id = net::read_u64(p, crc_end);
-  const std::uint32_t state = net::read_u32(p, crc_end);
-  PEACHY_REQUIRE(state >= 1 && state <= 5, "job record has state " << state);
-  rec.state = static_cast<JobState>(state);
-  rec.restarts = net::read_u32(p, crc_end);
-  rec.peak_rss_bytes = net::read_u64(p, crc_end);
-  rec.spec = read_spec(p, crc_end);
-  rec.error = read_string(p, crc_end);
-  const std::uint64_t result_size = net::read_u64(p, crc_end);
-  PEACHY_REQUIRE(static_cast<std::uint64_t>(crc_end - p) == result_size,
-                 "job record result blob is " << (crc_end - p)
-                                              << " bytes, header says "
-                                              << result_size);
-  rec.result.assign(p, crc_end);
-  return rec;
-}
-
-std::optional<std::vector<std::byte>> read_file(const fs::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  in.seekg(0, std::ios::end);
-  const std::streamoff len = in.tellg();
-  in.seekg(0, std::ios::beg);
-  std::vector<std::byte> buf(static_cast<std::size_t>(len > 0 ? len : 0));
-  in.read(reinterpret_cast<char*>(buf.data()),
-          static_cast<std::streamsize>(buf.size()));
-  if (in.gcount() != static_cast<std::streamsize>(buf.size()))
-    return std::nullopt;
-  return buf;
+  return std::nullopt;
 }
 
 }  // namespace
+
+std::vector<std::byte> encode_record(const JobRecord& rec) {
+  std::vector<std::byte> buf = bytes::begin_sealed(kMagic, kVersion);
+  bytes::append_u64(buf, rec.id);
+  bytes::append_u32(buf, static_cast<std::uint32_t>(rec.state));
+  bytes::append_u32(buf, rec.restarts);
+  bytes::append_u64(buf, rec.peak_rss_bytes);
+  append_spec(buf, rec.spec);
+  bytes::append_string(buf, rec.error);
+  bytes::append_blob(buf, rec.result);
+  bytes::seal(buf);
+  return buf;
+}
+
+JobRecord decode_record(std::span<const std::byte> buf) {
+  bytes::Reader in = bytes::unseal(buf, kMagic, kVersion, "job record");
+  JobRecord rec;
+  rec.id = in.u64();
+  rec.state = read_state(in);
+  rec.restarts = in.u32();
+  rec.peak_rss_bytes = in.u64();
+  rec.spec = read_spec(in);
+  rec.error = in.string();
+  const std::span<const std::byte> result = in.blob();
+  in.expect_end("job record");
+  rec.result.assign(result.begin(), result.end());
+  return rec;
+}
 
 JobStore::JobStore(std::string dir) : dir_(std::move(dir)) {
   fs::create_directories(fs::path(dir_) / "jobs");
@@ -120,31 +91,12 @@ std::string JobStore::checkpoint_dir(std::uint64_t id) const {
 }
 
 void JobStore::put(const JobRecord& rec) {
-  const std::vector<std::byte> buf = encode_record(rec);
-  const fs::path committed = record_path(rec.id);
-  const fs::path tmp = committed.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    PEACHY_REQUIRE(out, "cannot open job record temp file " << tmp.string());
-    out.write(reinterpret_cast<const char*>(buf.data()),
-              static_cast<std::streamsize>(buf.size()));
-    out.flush();
-    PEACHY_REQUIRE(out, "short write to job record " << tmp.string());
-  }
-  std::error_code ec;
-  fs::rename(tmp, committed, ec);
-  PEACHY_REQUIRE(!ec, "cannot commit job record " << committed.string() << ": "
-                                                  << ec.message());
+  const std::string committed = record_path(rec.id);
+  bytes::commit_file(committed, committed + ".tmp", encode_record(rec));
 }
 
 std::optional<JobRecord> JobStore::get(std::uint64_t id) const {
-  const auto buf = read_file(record_path(id));
-  if (!buf) return std::nullopt;
-  try {
-    return decode_record(*buf);
-  } catch (const std::exception&) {
-    return std::nullopt;
-  }
+  return load_record(record_path(id));
 }
 
 std::vector<JobRecord> JobStore::load_all() {
@@ -154,16 +106,10 @@ std::vector<JobRecord> JobStore::load_all() {
     const std::string name = entry.path().filename().string();
     std::uint64_t id = 0;
     if (std::sscanf(name.c_str(), "job-%lu.rec", &id) != 1) continue;
-    const auto buf = read_file(entry.path());
-    if (!buf) {
+    if (auto rec = load_record(entry.path()))
+      records.push_back(std::move(*rec));
+    else
       ++corrupt_skipped_;
-      continue;
-    }
-    try {
-      records.push_back(decode_record(*buf));
-    } catch (const std::exception&) {
-      ++corrupt_skipped_;
-    }
   }
   std::sort(records.begin(), records.end(),
             [](const JobRecord& a, const JobRecord& b) { return a.id < b.id; });

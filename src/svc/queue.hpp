@@ -1,13 +1,13 @@
 // Persistent job store of peachyd (DESIGN.md "Job service").
 //
 // Every job the daemon accepts is durably recorded before the submit reply
-// goes out: one framed file per job under <dir>/jobs/, written with the
-// same discipline as mpp checkpoints — full image to job-<id>.rec.tmp,
-// fsync-free atomic rename over job-<id>.rec, trailing CRC32 over the whole
-// record. A reader therefore sees either the previous committed state of a
-// job or the next one, never a torn write; a record that fails its CRC
-// (torn by a crash mid-rename on exotic filesystems, or bit-rotted) is
-// skipped at load with a count, not trusted.
+// goes out: one sealed file per job under <dir>/jobs/ (core/bytes.hpp, the
+// same frame and commit as mpp checkpoints) — full image to
+// job-<id>.rec.tmp, fsync-free atomic rename over job-<id>.rec, trailing
+// CRC32 over the whole record. A reader therefore sees either the previous
+// committed state of a job or the next one, never a torn write; a record
+// that fails its CRC (torn by a crash mid-rename on exotic filesystems, or
+// bit-rotted) is skipped at load with a count, not trusted.
 //
 // The store is deliberately dumb: it persists and lists JobRecords and
 // hands out monotonic ids. The in-memory job table, locking, and the
@@ -17,12 +17,18 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "svc/job.hpp"
 
 namespace peachy::svc {
+
+/// The on-disk image of one job record (DESIGN.md "Byte formats").
+std::vector<std::byte> encode_record(const JobRecord& rec);
+/// Throws peachy::Error on a corrupt, torn or other-version image.
+JobRecord decode_record(std::span<const std::byte> image);
 
 class JobStore {
  public:

@@ -8,15 +8,14 @@
 #include <memory>
 #include <string>
 
+#include "core/bytes.hpp"
 #include "core/error.hpp"
 #include "dmr/job.hpp"
 #include "mpp/mpp.hpp"
 #include "mpp/pool.hpp"
-#include "net/wire.hpp"
 #include "sandpile/distributed.hpp"
 #include "sandpile/field.hpp"
 #include "sandpile/result_blob.hpp"
-#include "svc/protocol.hpp"
 #include "wfsim/montage.hpp"
 #include "wfsim/platform.hpp"
 #include "wfsim/simulate.hpp"
@@ -24,14 +23,6 @@
 namespace peachy::svc {
 
 namespace {
-
-void append_f64(std::vector<std::byte>& out, double v) {
-  net::append_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-double read_f64(const std::byte*& p, const std::byte* end) {
-  return std::bit_cast<double>(net::read_u64(p, end));
-}
 
 mpp::RunOptions world_options(const RunnerOptions& options) {
   mpp::RunOptions run;
@@ -162,11 +153,7 @@ RunnerOutcome run_dmr(const JobSpec& spec, const RunnerOptions& options) {
   job.options(std::move(opt));
   const auto r = job.run(synth_corpus(p));
   RunnerOutcome out;
-  net::append_u32(out.result, static_cast<std::uint32_t>(r.output.size()));
-  for (const auto& [word, count] : r.output) {
-    append_string(out.result, word);
-    net::append_u64(out.result, count);
-  }
+  append_dmr_result(out.result, r.output);
   out.aborted = r.aborted;
   out.restarts = r.restarts;
   out.peak_rss_bytes = r.peak_rss_bytes;
@@ -229,29 +216,26 @@ RunnerOutcome run_wfsim(const JobSpec& spec, const RunnerOptions& options) {
         PEACHY_CHECK(all.size() % 3 == 0);
         if (!aborted)
           PEACHY_CHECK(all.size() == static_cast<std::size_t>(steps) * 3);
-        std::map<std::int64_t, std::pair<double, double>> rows;
+        std::map<std::int64_t, WfsimRow> rows;
         for (std::size_t i = 0; i < all.size(); i += 3)
-          rows[all[i]] = {std::bit_cast<double>(all[i + 1]),
-                          std::bit_cast<double>(all[i + 2])};
+          rows[all[i]] = {
+              steps == 1 ? 0.0 : static_cast<double>(all[i]) / (steps - 1),
+              std::bit_cast<double>(all[i + 1]),
+              std::bit_cast<double>(all[i + 2])};
+        std::vector<WfsimRow> sweep;
+        for (const auto& [s, row] : rows) sweep.push_back(row);
         std::vector<std::byte> blob;
         // Internal prefix for the launcher (stripped before the blob is
         // stored): whether the cancel collective cut the sweep short.
-        net::append_u32(blob, aborted ? 1 : 0);
-        net::append_u32(blob, static_cast<std::uint32_t>(rows.size()));
-        for (const auto& [s, vals] : rows) {
-          const double fraction =
-              steps == 1 ? 0.0 : static_cast<double>(s) / (steps - 1);
-          append_f64(blob, fraction);
-          append_f64(blob, vals.first);
-          append_f64(blob, vals.second);
-        }
+        bytes::append_u32(blob, aborted ? 1 : 0);
+        append_wfsim_result(blob, sweep);
         comm.set_result(blob.data(), blob.size());
       });
   RunnerOutcome out;
-  const std::byte* q = outcome.rank0_result.data();
-  const std::byte* qend = q + outcome.rank0_result.size();
-  out.aborted = net::read_u32(q, qend) != 0;
-  out.result.assign(q, qend);
+  bytes::Reader in(outcome.rank0_result);
+  out.aborted = in.u32() != 0;
+  out.result.assign(outcome.rank0_result.begin() + 4,
+                    outcome.rank0_result.end());
   out.restarts = outcome.restarts;
   out.peak_rss_bytes = outcome.peak_rss_bytes;
   return out;
@@ -277,35 +261,40 @@ RunnerOutcome run_job(const JobSpec& spec, const RunnerOptions& options) {
   throw Error("unreachable job kind");
 }
 
-std::vector<std::pair<std::string, std::uint64_t>> decode_dmr_result(
-    const std::vector<std::byte>& blob) {
-  const std::byte* p = blob.data();
-  const std::byte* end = p + blob.size();
-  const std::uint32_t n = net::read_u32(p, end);
-  net::require_count(n, 12, p, end);  // u32 length + u64 count per pair
-  std::vector<std::pair<std::string, std::uint64_t>> pairs;
-  pairs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    std::string word = read_string(p, end);
-    const std::uint64_t count = net::read_u64(p, end);
-    pairs.emplace_back(std::move(word), count);
+void append_dmr_result(std::vector<std::byte>& out, const WordCounts& pairs) {
+  bytes::append_u32(out, static_cast<std::uint32_t>(pairs.size()));
+  for (const auto& [word, count] : pairs) {
+    bytes::append_string(out, word);
+    bytes::append_u64(out, count);
+  }
+}
+
+WordCounts decode_dmr_result(const std::vector<std::byte>& blob) {
+  bytes::Reader in(blob);
+  // A pair is at least a u32 string length and a u64 count.
+  WordCounts pairs(in.count(in.u32(), 12));
+  for (auto& [word, count] : pairs) {
+    word = in.string();
+    count = in.u64();
   }
   return pairs;
 }
 
+void append_wfsim_result(std::vector<std::byte>& out,
+                         const std::vector<WfsimRow>& rows) {
+  bytes::append_u32(out, static_cast<std::uint32_t>(rows.size()));
+  for (const WfsimRow& row : rows)
+    for (const double v : {row.fraction, row.makespan_s, row.total_gco2})
+      bytes::append_f64(out, v);
+}
+
 std::vector<WfsimRow> decode_wfsim_result(const std::vector<std::byte>& blob) {
-  const std::byte* p = blob.data();
-  const std::byte* end = p + blob.size();
-  const std::uint32_t n = net::read_u32(p, end);
-  net::require_count(n, 24, p, end);  // three f64 per row
-  std::vector<WfsimRow> rows;
-  rows.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    WfsimRow row;
-    row.fraction = read_f64(p, end);
-    row.makespan_s = read_f64(p, end);
-    row.total_gco2 = read_f64(p, end);
-    rows.push_back(row);
+  bytes::Reader in(blob);
+  std::vector<WfsimRow> rows(in.count(in.u32(), 24));  // three f64 per row
+  for (WfsimRow& row : rows) {
+    row.fraction = in.f64();
+    row.makespan_s = in.f64();
+    row.total_gco2 = in.f64();
   }
   return rows;
 }

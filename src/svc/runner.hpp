@@ -22,7 +22,7 @@
 // mode the launcher-side hook drives SIGTERM to the children, whose
 // bodies observe mpp::spawn_abort_requested() at the same boundaries.
 //
-// Result blob formats (little-endian, net wire helpers):
+// Result blob formats (DESIGN.md "Byte formats"):
 //   sandpile — sandpile::detail::encode_result (H, W, rounds, status, cells)
 //   dmr      — u32 pair count | per pair: string word, u64 count
 //   wfsim    — u32 row count  | per row: f64 fraction, f64 makespan_s,
@@ -81,16 +81,19 @@ struct RunnerOutcome {
 /// execution failure; the daemon turns that into state FAILED.
 RunnerOutcome run_job(const JobSpec& spec, const RunnerOptions& options);
 
-/// Decoders for the dmr/wfsim blobs (peachyctl pretty-printing and tests;
-/// sandpile blobs decode with sandpile::detail::decode_result).
-std::vector<std::pair<std::string, std::uint64_t>> decode_dmr_result(
-    const std::vector<std::byte>& blob);
+/// Codecs for the dmr/wfsim blobs (the decoders serve peachyctl
+/// pretty-printing and tests; sandpile blobs use sandpile::detail).
+using WordCounts = std::vector<std::pair<std::string, std::uint64_t>>;
+void append_dmr_result(std::vector<std::byte>& out, const WordCounts& pairs);
+WordCounts decode_dmr_result(const std::vector<std::byte>& blob);
 
 struct WfsimRow {
   double fraction = 0;
   double makespan_s = 0;
   double total_gco2 = 0;
 };
+void append_wfsim_result(std::vector<std::byte>& out,
+                         const std::vector<WfsimRow>& rows);
 std::vector<WfsimRow> decode_wfsim_result(const std::vector<std::byte>& blob);
 
 }  // namespace peachy::svc

@@ -33,30 +33,30 @@ TEST(SpillFrame, RoundTripsThroughBuffer) {
   append_record(make_record(0, 0, 0, "", ""), buf);  // empty key and value
   append_record(make_record(1, 2, 3, "k", std::string(1000, 'x')), buf);
 
-  std::size_t pos = 0;
+  bytes::Reader in(buf);
   RawRecord rec;
-  ASSERT_TRUE(read_record(buf, pos, rec));
+  ASSERT_TRUE(read_record(in, rec));
   EXPECT_EQ(rec.partition, 3u);
   EXPECT_EQ(rec.task, 7u);
   EXPECT_EQ(rec.seq, 11u);
   EXPECT_EQ(Codec<std::string>::decode(rec.key.data(), rec.key.size()),
             "alpha");
-  ASSERT_TRUE(read_record(buf, pos, rec));
+  ASSERT_TRUE(read_record(in, rec));
   EXPECT_TRUE(rec.key.empty());
   EXPECT_TRUE(rec.value.empty());
-  ASSERT_TRUE(read_record(buf, pos, rec));
+  ASSERT_TRUE(read_record(in, rec));
   EXPECT_EQ(rec.value.size(), 1000u);
-  EXPECT_FALSE(read_record(buf, pos, rec));  // clean end
-  EXPECT_EQ(pos, buf.size());
+  EXPECT_FALSE(read_record(in, rec));  // clean end
+  EXPECT_TRUE(in.at_end());
 }
 
 TEST(SpillFrame, TruncatedFrameThrows) {
   std::vector<std::byte> buf;
   append_record(make_record(1, 1, 1, "key", "value"), buf);
   buf.resize(buf.size() - 2);  // tear the value
-  std::size_t pos = 0;
+  bytes::Reader in(buf);
   RawRecord rec;
-  EXPECT_THROW(read_record(buf, pos, rec), Error);
+  EXPECT_THROW(read_record(in, rec), Error);
 }
 
 TEST(SpillRun, WriterReaderRoundTrip) {
@@ -186,9 +186,9 @@ TEST(ExternalSorterTest, SnapshotRestoresThroughAddRaw) {
   // ...and rebuild a fresh sorter from it (the restore path).
   SpillDir dir2;
   ExternalSorter<std::string, std::uint64_t> restored(dir2, 96);
-  std::size_t pos = 0;
+  bytes::Reader in(blob);
   RawRecord rec;
-  while (read_record(blob, pos, rec)) restored.add_raw(rec);
+  while (read_record(in, rec)) restored.add_raw(rec);
   EXPECT_EQ(restored.total_records(), 50u);
 
   std::vector<std::pair<std::string, std::uint64_t>> a, b;

@@ -90,6 +90,9 @@ TEST(Wire, OversizedLenRejected) {
   EXPECT_THROW(decode_header(buf), Error);
 }
 
+// The frame CRC is core/bytes.hpp's, shared with every sealed file.
+using bytes::crc32;
+
 TEST(Wire, Crc32KnownVector) {
   // The canonical IEEE CRC32 check value.
   const char* s = "123456789";
@@ -128,15 +131,15 @@ TEST(Wire, ScalarHelpersRoundTrip) {
   append_u32(buf, 0xdeadbeefu);
   append_u64(buf, 0x0123456789abcdefULL);
   const char raw[3] = {'a', 'b', 'c'};
-  append_bytes(buf, raw, 3);
+  bytes::append_bytes(buf, raw, 3);
 
-  const std::byte* p = buf.data();
-  const std::byte* end = p + buf.size();
-  EXPECT_EQ(read_u32(p, end), 0xdeadbeefu);
-  EXPECT_EQ(read_u64(p, end), 0x0123456789abcdefULL);
-  EXPECT_EQ(static_cast<std::size_t>(end - p), 3u);
+  bytes::Reader in(buf);
+  EXPECT_EQ(in.u32(), 0xdeadbeefu);
+  EXPECT_EQ(in.u64(), 0x0123456789abcdefULL);
+  EXPECT_EQ(in.left(), 3u);
   // Reading past the end throws instead of walking off the buffer.
-  EXPECT_THROW(read_u64(p, end), Error);
+  EXPECT_THROW(in.u64(), Error);
+  EXPECT_EQ(in.left(), 3u);
 }
 
 }  // namespace

@@ -17,20 +17,19 @@ TEST(SvcProtocol, StringRoundTripIncludingEmpty) {
   append_string(buf, "tenant-a");
   append_string(buf, "");
   append_string(buf, "x");
-  const std::byte* p = buf.data();
-  const std::byte* end = p + buf.size();
-  EXPECT_EQ(read_string(p, end), "tenant-a");
-  EXPECT_EQ(read_string(p, end), "");
-  EXPECT_EQ(read_string(p, end), "x");
-  EXPECT_EQ(p, end);
+  bytes::Reader in(buf);
+  EXPECT_EQ(in.string(), "tenant-a");
+  EXPECT_EQ(in.string(), "");
+  EXPECT_EQ(in.string(), "x");
+  EXPECT_TRUE(in.at_end());
 }
 
 TEST(SvcProtocol, TruncatedStringThrows) {
   std::vector<std::byte> buf;
   append_string(buf, "hello");
   buf.resize(buf.size() - 2);
-  const std::byte* p = buf.data();
-  EXPECT_THROW(read_string(p, buf.data() + buf.size()), Error);
+  bytes::Reader in(buf);
+  EXPECT_THROW(in.string(), Error);
 }
 
 TEST(SvcProtocol, SandpileSpecRoundTrip) {
@@ -42,8 +41,8 @@ TEST(SvcProtocol, SandpileSpecRoundTrip) {
   spec.sandpile = {128, 96, 250000, 2, 8};
   std::vector<std::byte> buf;
   append_spec(buf, spec);
-  const std::byte* p = buf.data();
-  const JobSpec back = read_spec(p, buf.data() + buf.size());
+  bytes::Reader in(buf);
+  const JobSpec back = read_spec(in);
   EXPECT_EQ(back.kind, JobKind::kSandpile);
   EXPECT_EQ(back.tenant, "alice");
   EXPECT_EQ(back.name, "pile-1");
@@ -63,8 +62,8 @@ TEST(SvcProtocol, DmrAndWfsimSpecsRoundTrip) {
   dmr.dmr = {50000, 77, 256, 32, 16, 4, 2};
   std::vector<std::byte> buf;
   append_spec(buf, dmr);
-  const std::byte* p = buf.data();
-  const JobSpec dback = read_spec(p, buf.data() + buf.size());
+  bytes::Reader din(buf);
+  const JobSpec dback = read_spec(din);
   EXPECT_EQ(dback.dmr.words, 50000u);
   EXPECT_EQ(dback.dmr.seed, 77u);
   EXPECT_EQ(dback.dmr.map_epochs, 4u);
@@ -75,8 +74,8 @@ TEST(SvcProtocol, DmrAndWfsimSpecsRoundTrip) {
   wf.wfsim = {12, 32, 3};
   buf.clear();
   append_spec(buf, wf);
-  p = buf.data();
-  const JobSpec wback = read_spec(p, buf.data() + buf.size());
+  bytes::Reader win(buf);
+  const JobSpec wback = read_spec(win);
   EXPECT_EQ(wback.wfsim.sweep_steps, 12u);
   EXPECT_EQ(wback.wfsim.nodes_on, 32u);
   EXPECT_EQ(wback.wfsim.pstate, 3u);
@@ -87,15 +86,15 @@ TEST(SvcProtocol, SpecRejectsUnknownKindAndAbsurdRanks) {
   std::vector<std::byte> buf;
   append_spec(buf, spec);
   buf[0] = static_cast<std::byte>(9);  // kind = 9
-  const std::byte* p = buf.data();
-  EXPECT_THROW(read_spec(p, buf.data() + buf.size()), Error);
+  bytes::Reader bad_kind(buf);
+  EXPECT_THROW(read_spec(bad_kind), Error);
 
   JobSpec wide;
   wide.ranks = 100000;
   buf.clear();
   append_spec(buf, wide);
-  p = buf.data();
-  EXPECT_THROW(read_spec(p, buf.data() + buf.size()), Error);
+  bytes::Reader too_wide(buf);
+  EXPECT_THROW(read_spec(too_wide), Error);
 }
 
 TEST(SvcProtocol, StatusRoundTrip) {
@@ -111,8 +110,8 @@ TEST(SvcProtocol, StatusRoundTrip) {
   s.has_result = false;
   std::vector<std::byte> buf;
   append_status(buf, s);
-  const std::byte* p = buf.data();
-  const JobStatus back = read_status(p, buf.data() + buf.size());
+  bytes::Reader in(buf);
+  const JobStatus back = read_status(in);
   EXPECT_EQ(back.id, 42u);
   EXPECT_EQ(back.state, JobState::kFailed);
   EXPECT_EQ(back.kind, JobKind::kDmr);
@@ -130,8 +129,8 @@ TEST(SvcProtocol, BriefsAndStatsRoundTrip) {
   };
   std::vector<std::byte> buf;
   append_briefs(buf, briefs);
-  const std::byte* p = buf.data();
-  const auto back = read_briefs(p, buf.data() + buf.size());
+  bytes::Reader bin(buf);
+  const auto back = read_briefs(bin);
   ASSERT_EQ(back.size(), 2u);
   EXPECT_EQ(back[0].id, 1u);
   EXPECT_EQ(back[1].state, JobState::kQueued);
@@ -147,8 +146,8 @@ TEST(SvcProtocol, BriefsAndStatsRoundTrip) {
   stats.rejected = 7;
   buf.clear();
   append_stats(buf, stats);
-  p = buf.data();
-  const ServiceStats sback = read_stats(p, buf.data() + buf.size());
+  bytes::Reader sin(buf);
+  const ServiceStats sback = read_stats(sin);
   EXPECT_EQ(sback.queued, 5u);
   EXPECT_EQ(sback.busy_ranks, 6u);
   EXPECT_EQ(sback.rejected, 7u);
