@@ -65,7 +65,7 @@ int main() {
   TextTable dist({"size bin", "count", "density"});
   for (const LogBin& b : bins_64) {
     if (b.count == 0) continue;
-    dist.row({"[" + std::to_string(b.lo) + "," + std::to_string(b.hi) + ")",
+    dist.row({std::string("[") + std::to_string(b.lo) + "," + std::to_string(b.hi) + ")",
               TextTable::num(b.count),
               TextTable::num(b.density, 8)});
   }

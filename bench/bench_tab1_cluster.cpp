@@ -68,7 +68,7 @@ int main() {
     cfg.nodes_on = 64;
     cfg.pstate = p;
     const SimResult r = simulate(wf, plat, cfg);
-    ps_t.row({"p" + std::to_string(p),
+    ps_t.row({std::string("p").append(std::to_string(p)),
               TextTable::num(plat.cluster.pstates[static_cast<std::size_t>(p)]
                                  .gflops,
                              0),
@@ -92,7 +92,7 @@ int main() {
                  "vs baseline"});
   auto add = [&](const std::string& label, const ClusterChoice& c) {
     q23.row({label, TextTable::num(static_cast<std::int64_t>(c.nodes_on)),
-             "p" + std::to_string(c.pstate),
+             std::string("p").append(std::to_string(c.pstate)),
              TextTable::num(c.result.makespan_s, 1),
              TextTable::num(c.result.total_gco2, 1),
              TextTable::num(100.0 * (1.0 - c.result.total_gco2 /

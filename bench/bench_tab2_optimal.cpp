@@ -46,10 +46,9 @@ int main() {
   auto add = [&](const std::string& label, const SimResult& r) {
     t.row({label, TextTable::num(r.makespan_s, 1),
            TextTable::num(r.total_gco2, 1),
-           "+" + TextTable::num(100.0 * (r.total_gco2 /
-                                             best.result.total_gco2 -
-                                         1.0),
-                                1) +
+           std::string("+") +
+               TextTable::num(
+                   100.0 * (r.total_gco2 / best.result.total_gco2 - 1.0), 1) +
                "%"});
   };
   add("all local (Q1)", local);

@@ -5,10 +5,10 @@
 // testing"): pick a variant and a configuration on the command line, run,
 // and inspect images/traces/plots.
 //
-//   $ ./easypap_cli --variant omp-lazy-sync --size 512 --tile 32 \
-//                   --config center --grains 100000 \
-//                   --dump out/state.ppm --trace out/trace.json \
-//                   --metrics out/metrics.txt \
+//   $ ./easypap_cli --variant omp-lazy-sync --size 512 --tile 32
+//                   --config center --grains 100000
+//                   --dump out/state.ppm --trace out/trace.json
+//                   --metrics out/metrics.txt
 //                   --monitor out/iters.csv --check
 //
 // Options:

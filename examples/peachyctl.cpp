@@ -1,6 +1,6 @@
 // peachyctl — command-line client for the peachyd job service.
 //
-//   peachyctl submit --kind sandpile --tenant alice --ranks 2 \
+//   peachyctl submit --kind sandpile --tenant alice --ranks 2
 //             --grains 60000 --wait
 //   peachyctl status 3            peachyctl result 3
 //   peachyctl list [--tenant a]   peachyctl cancel 3

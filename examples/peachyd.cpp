@@ -1,7 +1,7 @@
 // peachyd — run the always-on multi-tenant job service (README cookbook,
 // DESIGN.md "Job service").
 //
-//   ./peachyd --state out/peachyd --port 7411 --metrics-port 9464 \
+//   ./peachyd --state out/peachyd --port 7411 --metrics-port 9464
 //             --pool-ranks 8 --weights alice=3,bob=1
 //
 // The daemon listens for peachyctl submissions, persists every accepted

@@ -1,32 +1,28 @@
-// Durable world checkpoints for the mpp runtime.
+// Durable world checkpoints for the mpp runtime: one pair of files per rank.
 //
-// A checkpoint is one file holding every rank's opaque state blob plus the
-// epoch that produced it. Rank 0 is the only writer: Comm::checkpoint()
-// funnels all blobs to rank 0, where a CheckpointWriter — one background
-// thread per Comm — receives them and commits the image with the classic
-// write-to-temp + atomic-rename protocol while the ranks carry on
-// computing. A checkpoint either exists completely (rename happened) or
-// not at all (a crash mid-write leaves only the temp file, which the next
-// load ignores). The file is a sealed frame (core/bytes.hpp) whose CRC32
-// rejects a torn or tampered file loudly instead of restoring garbage
-// state into every rank.
+// At a cut every rank commits its own state blob, with the epoch that
+// produced it, on its own thread: no blob crosses the network and no rank
+// waits for another. The commit overwrites the rank's spare file
+// `rank-<r>.tmp` in place and swaps it with `rank-<r>.ckpt` in one
+// renameat2(RENAME_EXCHANGE), so the committed file is never torn and the
+// previous epoch becomes the spare the next cut overwrites. After the
+// first two cuts no inode is created or freed. Each file is a sealed frame
+// (core/bytes.hpp) whose CRC32 rejects a torn or tampered file instead of
+// restoring garbage state.
 //
-// Durability contract: at most one write is in flight, so the committed
-// ckpt.bin lags the latest cut by at most one. The in-flight write is
-// drained (its failure rethrown) by the next cut, by restore(), and by the
-// world launchers at every body exit — only a SIGKILL of rank 0 mid-write
-// can leave the previous image committed, and recovery then replays one
-// more interval of (deterministic) work.
+// A world's checkpoint is the newest epoch that every rank holds, in its
+// committed file or its spare (choose_epoch). A rank killed mid-cut holds
+// the previous epoch only, so the world restores that one and replays one
+// interval of deterministic work. Epochs are never mixed across ranks.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
+#include <filesystem>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace peachy::mpp {
@@ -38,71 +34,65 @@ struct CheckpointImage {
   std::vector<std::vector<std::byte>> blobs;
 };
 
-/// Name of the committed checkpoint file inside a checkpoint directory.
-inline constexpr const char* kCheckpointFile = "ckpt.bin";
+/// One rank's checkpoint file, decoded.
+struct RankCheckpoint {
+  int epoch = 0;
+  std::vector<std::byte> blob;
+};
 
-/// The ckpt.bin image of `image` (DESIGN.md "Byte formats").
-std::vector<std::byte> encode_checkpoint(const CheckpointImage& image);
+/// `dir/rank-<r>.ckpt`, the rank's committed file, and `dir/rank-<r>.tmp`,
+/// its spare.
+std::filesystem::path rank_checkpoint_path(const std::string& dir, int rank);
+std::filesystem::path rank_spare_path(const std::string& dir, int rank);
 
-/// Parses a ckpt.bin image; throws peachy::Error when it is corrupt or was
-/// written by a world of a size other than `world`. `name` labels errors.
-CheckpointImage decode_checkpoint(std::span<const std::byte> file, int world,
-                                  const std::string& name = "checkpoint");
+/// The rank-<r>.ckpt image of one rank's blob (DESIGN.md "Byte formats").
+std::vector<std::byte> encode_rank_checkpoint(int world, int rank, int epoch,
+                                              std::span<const std::byte> blob);
 
-/// Atomically commits `image` as `dir/ckpt.bin`. Throws peachy::Error on
-/// I/O failure; on success the previous checkpoint is replaced as a unit.
+/// Parses a rank-<r>.ckpt image; throws peachy::Error when it is corrupt or
+/// was written by another rank or a world of another size. `name` labels
+/// errors.
+RankCheckpoint decode_rank_checkpoint(std::span<const std::byte> file,
+                                      int world, int rank,
+                                      const std::string& name = "checkpoint");
+
+/// Commits `blob` as `rank`'s epoch `epoch`: writes the spare in place and
+/// exchanges it with the committed file. With `keep_previous` false (a
+/// world's first cut) both files of an earlier run are removed first and
+/// the spare is renamed into place, so none of them survives even a crash
+/// mid-cut. Throws peachy::Error when the epoch was not committed; with
+/// `keep_previous` the committed file is then unchanged.
+void commit_rank_checkpoint(const std::string& dir, int world, int rank,
+                            int epoch, std::span<const std::byte> blob,
+                            bool keep_previous);
+
+/// The newest epoch held by every rank, from (committed, spare) epoch
+/// pairs concatenated in rank order, 0 standing for a missing or torn
+/// file. 0 when no epoch is common to all ranks; -1 when any rank sent -1,
+/// which a rank whose committed file is unreadable does.
+std::int64_t choose_epoch(std::span<const std::int64_t> epochs);
+
+/// One rank's side of a world restore: reads the rank's committed file and
+/// spare, agrees on an epoch through `agree` (which collects every rank's
+/// (committed, spare) epochs and returns their choose_epoch() on every
+/// rank), and returns the rank's copy of it, or nullopt when no epoch is
+/// common to all ranks. No file newer than the agreed epoch survives: a
+/// spare holding it is renamed over the committed file and a newer spare is
+/// removed; with nothing agreed both files are removed. Throws
+/// peachy::Error on every rank when any rank's committed file is corrupt or
+/// was written by another world.
+std::optional<RankCheckpoint> restore_rank_checkpoint(
+    const std::string& dir, int world, int rank,
+    const std::function<std::int64_t(std::span<const std::int64_t>)>& agree);
+
+/// Commits every rank's blob of `image`, as each rank's cut would. Throws
+/// peachy::Error on I/O failure.
 void save_checkpoint(const std::string& dir, const CheckpointImage& image);
 
-/// Loads the committed checkpoint, or nullopt when none has ever been
-/// committed. Throws peachy::Error on a corrupt file or when the file was
-/// written by a world of a different size than `world`.
+/// The world's checkpoint: every rank's blob of the newest epoch all ranks
+/// hold, or nullopt when there is none. Reads only. Throws peachy::Error
+/// when a committed file is corrupt or was written by another world.
 std::optional<CheckpointImage> load_checkpoint(const std::string& dir,
                                                int world);
-
-/// Runs save_checkpoint() on one background thread, started by the
-/// constructor and joined by the destructor. Double-buffered: one image
-/// can be on its way to disk while the caller assembles the next, and
-/// submit() waits for the previous write before queueing another, so at
-/// most one write is ever in flight. A failed write is kept and rethrown
-/// as peachy::Error by the next submit() or drain() — exactly once.
-class CheckpointWriter {
- public:
-  /// Completes a submitted image on the writer thread, before the save:
-  /// Comm receives the other ranks' blobs here, so rank 0 does not wait
-  /// for them at the cut. An exception fails the write like an I/O error.
-  using Collect = std::function<void(CheckpointImage&)>;
-
-  explicit CheckpointWriter(std::string dir, Collect collect = {});
-  /// Finishes the in-flight write and joins the thread. A failure nobody
-  /// drained can only be logged to stderr here (destructors must not
-  /// throw); the mpp launchers drain explicitly at every body exit.
-  ~CheckpointWriter();
-  CheckpointWriter(const CheckpointWriter&) = delete;
-  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
-
-  /// Waits for the previous write (rethrowing its failure), then queues
-  /// `image` for the writer thread and returns without touching the disk
-  /// or the collect step.
-  void submit(CheckpointImage image);
-
-  /// Blocks until no write (collect included) is in flight; rethrows a
-  /// failed write's error.
-  void drain();
-
- private:
-  void run();
-  /// Waits for the in-flight write; returns (and clears) its error text.
-  std::string wait_idle(std::unique_lock<std::mutex>& lock);
-
-  const std::string dir_;
-  const Collect collect_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::optional<CheckpointImage> queued_;
-  bool busy_ = false;  ///< an image is queued or being written
-  bool stop_ = false;
-  std::string error_;  ///< failure of the last write, until reported
-  std::thread thread_;
-};
 
 }  // namespace peachy::mpp

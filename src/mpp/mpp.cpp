@@ -15,6 +15,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/timer.hpp"
 #include "mpp/checkpoint.hpp"
 #include "mpp/pool.hpp"
 #include "mpp/telemetry.hpp"
@@ -52,6 +53,11 @@ obs::Counter& obs_checkpoint_bytes() {
   static obs::Counter& c =
       obs::Registry::global().counter("mpp.checkpoint_bytes");
   return c;
+}
+obs::Histogram& obs_checkpoint_write_ns() {
+  static obs::Histogram& h =
+      obs::Registry::global().histogram("mpp.checkpoint_write_ns");
+  return h;
 }
 obs::Counter& obs_restores() {
   static obs::Counter& c = obs::Registry::global().counter("mpp.restores");
@@ -162,15 +168,6 @@ void Comm::send(int dest, int tag, std::span<const std::byte> payload) {
 }
 
 void Comm::recv_bytes(int src, int tag, void* data, std::size_t bytes) {
-  const std::vector<std::byte> payload = recv_message(src, tag);
-  PEACHY_REQUIRE(payload.size() == bytes,
-                 "rank " << rank() << ": message size mismatch from rank "
-                         << src << " tag " << tag << ": expected " << bytes
-                         << " bytes, got " << payload.size());
-  if (bytes) std::memcpy(data, payload.data(), bytes);
-}
-
-std::vector<std::byte> Comm::recv_message(int src, int tag) {
   PEACHY_REQUIRE(src >= 0 && src < size(),
                  "rank " << rank() << ": recv from bad rank " << src
                          << " (world size " << size() << ", tag " << tag
@@ -197,7 +194,11 @@ std::vector<std::byte> Comm::recv_message(int src, int tag) {
     }
     obs::Tracer::global().instant("mpp.recv", "mpp", std::move(args));
   }
-  return payload;
+  PEACHY_REQUIRE(payload.size() == bytes,
+                 "rank " << rank() << ": message size mismatch from rank "
+                         << src << " tag " << tag << ": expected " << bytes
+                         << " bytes, got " << payload.size());
+  if (bytes) std::memcpy(data, payload.data(), bytes);
 }
 
 // Collectives are plain messages through rank 0 on reserved tags, so they
@@ -257,41 +258,19 @@ int Comm::checkpoint(const void* data, std::size_t bytes) {
   obs::Span span("mpp.checkpoint", "mpp");
   span.arg("rank", rank());
   span.arg("bytes", static_cast<std::int64_t>(bytes));
-  const auto* p = static_cast<const std::byte*>(data);
-  if (rank_() != 0) {
-    // No ack: the epoch rank 0 commits next is always epoch_ + 1, and a
-    // failed commit surfaces on rank 0, which then takes the world down.
-    send(0, detail_tag_ckpt(), std::span(p, bytes));
-    return ++epoch_;
+  const int epoch = epoch_ + 1;
+  obs::Span write("mpp.checkpoint_write", "mpp");
+  write.arg("epoch", epoch);
+  const std::int64_t t0 = obs::enabled() ? now_ns() : 0;
+  commit_rank_checkpoint(ckpt_dir_, size(), rank(), epoch,
+                         std::span(static_cast<const std::byte*>(data), bytes),
+                         /*keep_previous=*/epoch_ > 0);
+  if (obs::enabled()) {
+    obs_checkpoint_write_ns().observe(now_ns() - t0);
+    obs_checkpoint_bytes().add(bytes);
+    if (rank_() == 0) obs_checkpoints().add(1);
   }
-  if (!writer_) {
-    // The other ranks' blobs are received on the writer thread: a cut on
-    // rank 0 would otherwise wait a message latency for the slowest of
-    // them, with every rank then waiting on rank 0. The transport outlives
-    // the writer (drained or destroyed first) and serves concurrent
-    // receivers on distinct channels.
-    writer_ = std::make_unique<CheckpointWriter>(
-        ckpt_dir_, [transport = transport_.get()](CheckpointImage& image) {
-          std::uint64_t total = image.blobs[0].size();
-          for (int r = 1; r < transport->size(); ++r) {
-            auto& blob = image.blobs[static_cast<std::size_t>(r)];
-            blob = transport->recv(r, detail_tag_ckpt(), nullptr);
-            total += blob.size();
-          }
-          if (obs::enabled()) obs_checkpoint_bytes().add(total);
-        });
-  }
-  CheckpointImage image;
-  image.epoch = epoch_ + 1;
-  image.blobs.resize(static_cast<std::size_t>(size()));
-  image.blobs[0].assign(p, p + bytes);
-  writer_->submit(std::move(image));  // waits only for the previous write
-  if (obs::enabled()) obs_checkpoints().add(1);
-  return ++epoch_;
-}
-
-void Comm::drain_checkpoint() {
-  if (writer_) writer_->drain();
+  return epoch_ = epoch;
 }
 
 std::optional<std::vector<std::byte>> Comm::restore() {
@@ -300,25 +279,18 @@ std::optional<std::vector<std::byte>> Comm::restore() {
                             "checkpoint directory");
   obs::Span span("mpp.restore", "mpp");
   span.arg("rank", rank());
-  if (rank_() == 0) {
-    drain_checkpoint();  // load the last cut, not an older image
-    std::optional<CheckpointImage> image = load_checkpoint(ckpt_dir_, size());
-    const std::int32_t epoch = image ? image->epoch : -1;
-    for (int r = 1; r < size(); ++r) send(r, detail_tag_ckpt(), &epoch, 1);
-    if (!image) return std::nullopt;
-    for (int r = 1; r < size(); ++r)
-      send(r, detail_tag_ckpt(), image->blobs[static_cast<std::size_t>(r)]);
-    epoch_ = image->epoch;
-    if (obs::enabled()) obs_restores().add(1);
-    return std::move(image->blobs[0]);
-  }
-  std::int32_t epoch = 0;
-  recv(0, detail_tag_ckpt(), &epoch, 1);
-  if (epoch < 0) return std::nullopt;
-  std::vector<std::byte> blob = recv_message(0, detail_tag_ckpt());
-  epoch_ = epoch;
+  std::optional<RankCheckpoint> restored = restore_rank_checkpoint(
+      ckpt_dir_, size(), rank(), [this](std::span<const std::int64_t> held) {
+        const std::vector<std::int64_t> all =
+            gather(0, std::vector<std::int64_t>(held.begin(), held.end()));
+        std::int64_t epoch = rank_() == 0 ? choose_epoch(all) : 0;
+        broadcast(0, &epoch, 1);
+        return epoch;
+      });
+  if (!restored) return std::nullopt;
+  epoch_ = restored->epoch;
   if (obs::enabled()) obs_restores().add(1);
-  return blob;
+  return std::move(restored->blob);
 }
 
 void Comm::set_result(const void* data, std::size_t bytes) {
@@ -401,14 +373,6 @@ RunOutcome run_threads(int ranks, const RunOptions& options,
         body(comm);
       } catch (...) {
         mine.error = std::current_exception();
-      }
-      // Rank 0's last cut must be on disk before this rank leaves: the
-      // supervisor's restart and the success-path directory removal both
-      // read the checkpoint directory as final.
-      try {
-        comm.drain_checkpoint();
-      } catch (...) {
-        if (!mine.error) mine.error = std::current_exception();
       }
       // Say goodbye even when the body failed, so peers blocked on this
       // rank observe a shutdown (or PeerDied) instead of hanging.
@@ -562,16 +526,6 @@ constexpr const char* kEnvTraceId = "PEACHY_MPP_TRACE_ID";
     } catch (...) {
       report.error = "unknown exception";
     }
-    // The pending checkpoint write lands before the report, so the
-    // launcher never restarts from (or removes) a directory mid-write.
-    try {
-      comm.drain_checkpoint();
-    } catch (const std::exception& e) {
-      if (report.ok) {
-        report.ok = false;
-        report.error = e.what();
-      }
-    }
     // Finals must ship before the goodbye; finish() never throws.
     if (session) session->finish();
     try {
@@ -636,7 +590,7 @@ class CkptDirGuard {
   /// Retention policy for a *named* directory after a clean finish: by
   /// default it is kept (resume material); with
   /// Resilience::remove_checkpoint_on_success it is deleted so finished
-  /// jobs stop accumulating ckpt.bin directories. Failed runs always keep
+  /// jobs stop accumulating checkpoint directories. Failed runs always keep
   /// the directory — it is exactly what the retry needs.
   void on_success() {
     if (!remove_on_success_ || owned_ || dir_.empty()) return;

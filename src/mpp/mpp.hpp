@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "core/error.hpp"
-#include "mpp/checkpoint.hpp"
 #include "mpp/telemetry.hpp"
 #include "net/inproc.hpp"
 #include "net/process.hpp"
@@ -90,7 +89,7 @@ struct Resilience {
   /// Remove the *named* checkpoint_dir after a successful run. Off by
   /// default (a kept directory is what cross-invocation resume reads), but
   /// long-lived callers — peachyd retiring thousands of jobs — flip it so
-  /// completed work does not accumulate stale ckpt.bin directories.
+  /// completed work does not accumulate stale checkpoint directories.
   /// Unnamed (mkdtemp) directories are always removed, as before.
   bool remove_checkpoint_on_success = false;
 };
@@ -204,9 +203,6 @@ class Comm {
   explicit Comm(std::unique_ptr<net::Transport> transport)
       : transport_(std::move(transport)) {}
   Comm(Comm&&) = default;
-  /// Not assignable: rank 0's writer thread reads the transport until it
-  /// is drained, so the two must go away writer first.
-  Comm& operator=(Comm&&) = delete;
 
   int rank() const { return transport_->rank(); }
   int size() const { return transport_->size(); }
@@ -323,28 +319,23 @@ class Comm {
   /// collective) so the cut is consistent. Throws unless checkpointing()
   /// is enabled.
   ///
-  /// The cut waits for no disk, no peer and no ack. A non-root rank sends
-  /// its blob to rank 0 and counts the epoch locally. Rank 0 queues its
-  /// own blob on its CheckpointWriter thread (mpp/checkpoint.hpp), which
-  /// receives the other ranks' blobs and commits the image. Before
-  /// queueing, rank 0 waits for the previous write, and a failed previous
-  /// write is rethrown here as peachy::Error. The committed ckpt.bin is
-  /// therefore at most one cut behind. restore() and the world launchers
-  /// drain the pending write at every body exit, so a restart or a
-  /// finished run always sees this cut committed.
+  /// The cut sends nothing and waits for no peer: each rank commits its
+  /// own blob as `rank-<r>.ckpt` (mpp/checkpoint.hpp) before it returns,
+  /// keeping the previous epoch as its spare. A failed commit throws
+  /// peachy::Error here. Only a rank killed mid-write is left holding its
+  /// previous epoch, which restore() then agrees on. A cut at epoch 1 (no
+  /// earlier cut or restored epoch) first removes the rank's files, so
+  /// none from an earlier run survives.
   int checkpoint(const void* data, std::size_t bytes);
 
-  /// Collective restore: rank 0 drains its pending checkpoint write, loads
-  /// the last committed checkpoint and redistributes the blobs; every rank
-  /// gets its own back, or nullopt when no checkpoint has ever been
-  /// committed. Sets checkpoint_epoch().
+  /// Collective restore: every rank reads its committed file and spare,
+  /// rank 0 gathers the (at most two) epochs each rank holds and
+  /// broadcasts the newest one every rank holds, and each rank gets its
+  /// own blob of that epoch back, or nullopt when no epoch is common to
+  /// all ranks. A rank holding a newer epoch drops it, so a later crash
+  /// cannot pair it with a replayed one. A corrupt committed file on any
+  /// rank throws peachy::Error on every rank. Sets checkpoint_epoch().
   std::optional<std::vector<std::byte>> restore();
-
-  /// Waits until rank 0's in-flight checkpoint write is on disk; rethrows
-  /// its failure as peachy::Error. A no-op on other ranks and when nothing
-  /// is pending. run_world and spawned workers call it at every body exit,
-  /// so bodies need not.
-  void drain_checkpoint();
 
   /// Epoch of the last cut this rank took part in, or restored; 0 when
   /// neither has happened.
@@ -377,12 +368,9 @@ class Comm {
   static constexpr int detail_tag_scatter() { return -4244; }
   static constexpr int detail_tag_barrier() { return -4245; }
   static constexpr int detail_tag_reduce() { return -4246; }
-  static constexpr int detail_tag_ckpt() { return -4247; }
 
   void send_bytes(int dest, int tag, const void* data, std::size_t bytes);
   void recv_bytes(int src, int tag, void* data, std::size_t bytes);
-  /// Receives one message of whatever size was sent.
-  std::vector<std::byte> recv_message(int src, int tag);
   std::int64_t allreduce(std::int64_t value,
                          std::int64_t (*op)(std::int64_t, std::int64_t));
 
@@ -391,10 +379,6 @@ class Comm {
   std::vector<std::byte> result_;
   std::string ckpt_dir_;
   int epoch_ = 0;
-  /// Rank 0's commit thread, started by the first checkpoint(). Declared
-  /// after transport_ so it is joined before the transport it reads from
-  /// is destroyed.
-  std::unique_ptr<CheckpointWriter> writer_;
 };
 
 /// SPMD launcher: runs `body(comm)` on `ranks` threads over the in-process

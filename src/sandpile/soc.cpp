@@ -24,7 +24,7 @@ Avalanche drop_grain(Field& field, int y, int x) {
   while (!wave.empty()) {
     ++av.duration;
     std::set<std::pair<int, int>> next;
-    for (const auto [cy, cx] : wave) {
+    for (const auto& [cy, cx] : wave) {
       const int py = cy + 1, px = cx + 1;
       const Cell grains = g(py, px);
       if (grains < kTopple) continue;  // drained by an earlier wave member
@@ -36,7 +36,7 @@ Avalanche drop_grain(Field& field, int y, int x) {
       g(py, px + 1) += share;
       ++av.size;
       toppled_cells.emplace(cy, cx);
-      for (const auto [ny, nx] : {std::pair{cy - 1, cx}, {cy + 1, cx},
+      for (const auto& [ny, nx] : {std::pair{cy - 1, cx}, {cy + 1, cx},
                                   {cy, cx - 1}, {cy, cx + 1}}) {
         if (ny >= 0 && ny < field.height() && nx >= 0 && nx < field.width() &&
             field.at(ny, nx) >= kTopple)

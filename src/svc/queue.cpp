@@ -1,8 +1,10 @@
 #include "svc/queue.hpp"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <system_error>
 
 #include "core/bytes.hpp"
@@ -33,6 +35,17 @@ std::optional<JobRecord> load_record(const fs::path& path) {
   } catch (const std::exception&) {
   }
   return std::nullopt;
+}
+
+// The id of a committed record's file name, "job-<id>.rec"; nullopt for any
+// other name, such as the "job-<id>.rec.tmp" a crash mid-commit leaves.
+std::optional<std::uint64_t> record_id(const std::string& name) {
+  std::uint64_t id = 0;
+  int end = 0;
+  if (std::sscanf(name.c_str(), "job-%" SCNu64 ".rec%n", &id, &end) != 1 ||
+      static_cast<std::size_t>(end) != name.size())
+    return std::nullopt;
+  return id;
 }
 
 }  // namespace
@@ -73,9 +86,7 @@ JobStore::JobStore(std::string dir) : dir_(std::move(dir)) {
   // not — ids must never be reused, even for jobs we can no longer decode.
   for (const auto& entry : fs::directory_iterator(fs::path(dir_) / "jobs")) {
     const std::string name = entry.path().filename().string();
-    std::uint64_t id = 0;
-    if (std::sscanf(name.c_str(), "job-%lu.rec", &id) == 1)
-      next_id_ = std::max(next_id_, id + 1);
+    if (const auto id = record_id(name)) next_id_ = std::max(next_id_, *id + 1);
   }
 }
 
@@ -104,8 +115,7 @@ std::vector<JobRecord> JobStore::load_all() {
   std::vector<JobRecord> records;
   for (const auto& entry : fs::directory_iterator(fs::path(dir_) / "jobs")) {
     const std::string name = entry.path().filename().string();
-    std::uint64_t id = 0;
-    if (std::sscanf(name.c_str(), "job-%lu.rec", &id) != 1) continue;
+    if (!record_id(name)) continue;
     if (auto rec = load_record(entry.path()))
       records.push_back(std::move(*rec));
     else

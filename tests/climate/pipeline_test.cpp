@@ -22,8 +22,9 @@ void expect_series_equal(const AnnualSeries& a, const AnnualSeries& b) {
   for (std::size_t i = 0; i < a.mean_c.size(); ++i) {
     EXPECT_EQ(a.has_any[i], b.has_any[i]) << "year index " << i;
     EXPECT_EQ(a.complete[i], b.complete[i]) << "year index " << i;
-    if (a.has_any[i])
+    if (a.has_any[i]) {
       EXPECT_NEAR(a.mean_c[i], b.mean_c[i], 1e-9) << "year index " << i;
+    }
   }
 }
 

@@ -1,12 +1,16 @@
-// core/bytes.hpp behaviour no format test reaches: the sealed frame's
-// rejections and a failed commit. Scalars, strings, counts and the CRC are
-// covered through every format by decoder_test and net_test.
+// core/bytes.hpp behaviour no format test reaches: the sliced CRC against a
+// bit-at-a-time reference, the sealed frame's rejections and a failed
+// commit. Scalars, strings and counts are covered through every format by
+// decoder_test and net_test.
 #include "core/bytes.hpp"
 
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <cstdint>
 #include <filesystem>
+#include <random>
+#include <string_view>
 
 #include "core/error.hpp"
 
@@ -26,6 +30,46 @@ Buffer sealed(std::uint32_t magic, std::uint32_t version,
 
 Reader open_image(const Buffer& image) {
   return unseal(image, kMagic, kVersion, "test image");
+}
+
+// CRC32 one bit at a time, straight from the polynomial: no table shared
+// with the code under test.
+std::uint32_t crc32_bitwise(const unsigned char* p, std::size_t n) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int b = 0; b < 8; ++b) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<unsigned char> out(n);
+  for (auto& b : out) b = static_cast<unsigned char>(rng());
+  return out;
+}
+
+TEST(Crc32, KnownVectors) {
+  constexpr std::string_view check = "123456789";
+  EXPECT_EQ(crc32(check.data(), check.size()), 0xCBF43926u);
+  EXPECT_EQ(crc32(nullptr, 0), 0u);
+  EXPECT_EQ(crc32("a", 1), 0xE8B7BE43u);
+}
+
+TEST(Crc32, MatchesTheBitwiseReferenceAtEveryLengthAndAlignment) {
+  const std::vector<unsigned char> data = random_bytes(300 + 8, 1);
+  for (std::size_t offset = 0; offset < 8; ++offset)
+    for (std::size_t n = 0; n <= 300; ++n)
+      ASSERT_EQ(crc32(data.data() + offset, n),
+                crc32_bitwise(data.data() + offset, n))
+          << "offset " << offset << ", length " << n;
+}
+
+TEST(Crc32, MatchesTheBitwiseReferenceOnAMebibyte) {
+  const std::vector<unsigned char> data = random_bytes(std::size_t{1} << 20, 2);
+  EXPECT_EQ(crc32(data.data(), data.size()),
+            crc32_bitwise(data.data(), data.size()));
 }
 
 TEST(SealedFrame, OpensToItsBody) {
@@ -73,6 +117,14 @@ TEST(CommitFile, FailedCommitLeavesThePreviousFileIntact) {
   EXPECT_THROW(commit_file(file, tmp, sealed(kMagic, kVersion, "second")),
                Error);
   EXPECT_EQ(read_file(file), first);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ReadFile, RejectsADirectoryAndMissesAMissingFile) {
+  char tmpl[] = "/tmp/peachy-bytes-XXXXXX";
+  const std::filesystem::path dir = ::mkdtemp(tmpl);
+  EXPECT_THROW(read_file(dir), Error);
+  EXPECT_EQ(read_file(dir / "missing"), std::nullopt);
   std::filesystem::remove_all(dir);
 }
 

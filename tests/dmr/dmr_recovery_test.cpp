@@ -55,15 +55,16 @@ void sum_reducer(const std::string& key,
 
 // scripts/fault_sweep.sh --suite dmr varies the sever point through this
 // env var so one test body covers many failure instants. The busiest link
-// of this job shape carries 13 frames (4 epoch exchanges, 3 checkpoint
-// blobs and the result transfer; checkpoint cuts send no acks), so seeds
-// map onto severs 1..12 — every instant at which the wire can die. If the
-// job shape ever shrinks the frame budget, the "sever never fired" assert
+// of this job shape carries 12 frames (the restore's gather of held
+// epochs, the epoch exchanges and the result transfer; a checkpoint cut
+// sends nothing, each rank commits its own file), so seeds map onto
+// severs 1..11 — every instant at which the wire can die. If the job
+// shape ever shrinks the frame budget, the "sever never fired" assert
 // below catches the drift.
 int sweep_sever_after() {
   const char* env = std::getenv("PEACHY_FAULT_SEED");
   const int seed = env ? std::atoi(env) : 7;
-  return 1 + (seed - 1) % 12;
+  return 1 + (seed - 1) % 11;
 }
 
 TEST(DmrRecovery, SpawnedFaultFreeRunMatchesReference) {

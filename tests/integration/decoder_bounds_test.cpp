@@ -234,10 +234,6 @@ svc::JobRecord job_record() {
   return rec;
 }
 
-mpp::CheckpointImage checkpoint_image() {
-  return {9, {from_hex("aabb"), {}, from_hex("010203")}};
-}
-
 Grid2D<sandpile::Cell> slab_grid() {
   Grid2D<sandpile::Cell> g(3, 2, 0);
   for (std::size_t i = 0; i < g.size(); ++i)
@@ -500,14 +496,15 @@ const std::vector<Format>& formats() {
          return svc::encode_record(svc::decode_record(b));
        },
        {{36, 4}, {45, 4}, {85, 4}, {89, 8}}, true},
-      {"checkpoint",
-       "50434b500100000003000000090000000200000000000000aabb0000"
-       "000000000000030000000000000001020306e50230",
-       [] { return mpp::encode_checkpoint(checkpoint_image()); },
+      {"checkpoint",  // rank 2's file of a 3-rank world, epoch 9
+       "50434b520100000003000000020000000900000003000000000000000102036c"
+       "3a91f5",
+       [] { return mpp::encode_rank_checkpoint(3, 2, 9, from_hex("010203")); },
        [](const Blob& b) -> std::optional<Blob> {
-         return mpp::encode_checkpoint(mpp::decode_checkpoint(b, 3));
+         const mpp::RankCheckpoint c = mpp::decode_rank_checkpoint(b, 3, 2);
+         return mpp::encode_rank_checkpoint(3, 2, c.epoch, c.blob);
        },
-       {{8, 4}, {16, 8}, {26, 8}, {34, 8}}, true},
+       {{8, 4}, {20, 8}}, true},
       {"sandpile_slab",
        "0c000000030000000200000001000000020000000300000004000000"
        "0500000006000000",
@@ -721,13 +718,12 @@ Blob u32_count_then_body(std::uint32_t count, std::size_t body) {
 void decode_lying_checkpoint() {
   const TempDir dir;
   mpp::save_checkpoint(dir.path, {1, {Blob(8)}});
-  const std::filesystem::path path =
-      std::filesystem::path(dir.path) / mpp::kCheckpointFile;
+  const std::filesystem::path path = mpp::rank_checkpoint_path(dir.path, 0);
   Blob file = read_whole(path);
-  // magic, version, world, epoch, then rank 0's u64 blob length. The CRC
+  // magic, version, world, rank, epoch, then the u64 blob length. The CRC
   // is recomputed, so only the bounds check stands in the way. 2^64 - 1
   // wraps a `p + n` pointer check around to a value that passes.
-  put_u64_at(file, 16, ~std::uint64_t{0});
+  put_u64_at(file, 20, ~std::uint64_t{0});
   reseal(file);
   write_file(path, file);
   mpp::load_checkpoint(dir.path, 1);

@@ -89,7 +89,8 @@ TEST(Streaming, ReducerSeesWholeSortedPartition) {
 TEST(Streaming, ResultIndependentOfWorkers) {
   std::vector<std::string> input;
   for (int i = 0; i < 100; ++i)
-    input.push_back("w" + std::to_string(i % 7) + " w" + std::to_string(i % 3));
+    input.push_back(std::string("w") + std::to_string(i % 7) + " w" +
+                    std::to_string(i % 3));
   StreamingConfig base;
   base.partitions = 2;
   const auto baseline =
@@ -110,7 +111,7 @@ TEST(Streaming, SameKeyLandsInOnePartition) {
   // Count reducer invocations per key across partitions: every key must be
   // fully reduced exactly once.
   std::vector<std::string> input;
-  for (int i = 0; i < 50; ++i) input.push_back("k" + std::to_string(i % 5));
+  for (int i = 0; i < 50; ++i) input.push_back(std::string("k") + std::to_string(i % 5));
   StreamingConfig cfg;
   cfg.partitions = 4;
   const auto out =

@@ -2,7 +2,9 @@
 // "a rank died" from a propagated error into a bounded recovery.
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <stdlib.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <atomic>
@@ -57,8 +59,12 @@ TEST(Checkpoint, FileRoundTripPreservesEpochAndBlobs) {
   image.epoch = 3;
   image.blobs = {blob_of(10), blob_of(20), {}};  // empty blob is legal
   save_checkpoint(dir.path(), image);
-  // The commit is an atomic rename: no temp file may survive it.
-  EXPECT_FALSE(std::filesystem::exists(dir.path() + "/ckpt.tmp"));
+  // With nothing committed before, each rank's file is renamed into place:
+  // no spare survives it.
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_TRUE(std::filesystem::exists(rank_checkpoint_path(dir.path(), r)));
+    EXPECT_FALSE(std::filesystem::exists(rank_spare_path(dir.path(), r)));
+  }
 
   const auto back = load_checkpoint(dir.path(), 3);
   ASSERT_TRUE(back.has_value());
@@ -81,7 +87,7 @@ TEST(Checkpoint, CorruptedFileIsRejected) {
   image.blobs = {blob_of(42), blob_of(43)};
   save_checkpoint(dir.path(), image);
 
-  const std::string file = dir.path() + "/" + kCheckpointFile;
+  const std::string file = rank_checkpoint_path(dir.path(), 1);
   {
     // Flip one payload byte; the CRC trailer must catch it.
     std::fstream f(file, std::ios::in | std::ios::out | std::ios::binary);
@@ -102,7 +108,7 @@ TEST(Checkpoint, TruncatedFileIsRejected) {
   image.epoch = 1;
   image.blobs = {blob_of(42)};
   save_checkpoint(dir.path(), image);
-  const std::string file = dir.path() + "/" + kCheckpointFile;
+  const std::string file = rank_checkpoint_path(dir.path(), 0);
   std::filesystem::resize_file(file, std::filesystem::file_size(file) - 3);
   EXPECT_THROW(load_checkpoint(dir.path(), 1), Error);
 }
@@ -221,8 +227,7 @@ TEST(Resilience, NamedCheckpointDirSurvivesTheRun) {
     const std::vector<std::byte> blob = blob_of(55);
     comm.checkpoint(blob.data(), blob.size());
   });
-  ASSERT_TRUE(
-      std::filesystem::exists(dir.path() + "/" + std::string(kCheckpointFile)));
+  ASSERT_TRUE(std::filesystem::exists(rank_checkpoint_path(dir.path(), 0)));
   run_world(1, opt, [](Comm& comm) {
     const auto blob = comm.restore();
     ASSERT_TRUE(blob.has_value());
@@ -231,23 +236,23 @@ TEST(Resilience, NamedCheckpointDirSurvivesTheRun) {
 }
 
 TEST(Checkpoint, OnDiskFormatIsPinned) {
-  // A two-rank epoch-3 image, byte for byte: u32 magic 'PCKP' | u32
-  // version 1 | u32 world | u32 epoch | per rank { u64 size | bytes } |
-  // u32 crc32. Files written by earlier builds must keep loading, and
-  // this build must keep writing exactly these bytes.
+  // Rank 0's file of a two-rank epoch-3 checkpoint, byte for byte: u32
+  // magic 'PCKR' | u32 version 1 | u32 world | u32 rank | u32 epoch |
+  // u64 size | bytes | u32 crc32. Files written by earlier builds must keep
+  // loading, and this build must keep writing exactly these bytes.
   const std::vector<unsigned char> golden = {
-      0x50, 0x43, 0x4b, 0x50, 0x01, 0x00, 0x00, 0x00,  // magic, version
-      0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,  // world, epoch
-      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // rank 0: 4 bytes
+      0x50, 0x43, 0x4b, 0x52, 0x01, 0x00, 0x00, 0x00,  // magic, version
+      0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // world, rank
+      0x03, 0x00, 0x00, 0x00,                          // epoch
+      0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // 4 bytes
       0x2a, 0x00, 0x00, 0x00,                          //   42
-      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // rank 1: empty
-      0xa8, 0xe9, 0x27, 0xcd};                         // crc32
+      0x5e, 0xbc, 0xa9, 0x02};                         // crc32
   TempDir dir;
   CheckpointImage image;
   image.epoch = 3;
   image.blobs = {blob_of(42), {}};
   save_checkpoint(dir.path(), image);
-  const std::string file = dir.path() + "/" + kCheckpointFile;
+  const std::string file = rank_checkpoint_path(dir.path(), 0);
   std::ifstream in(file, std::ios::binary);
   const std::vector<unsigned char> written(
       (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
@@ -265,55 +270,231 @@ TEST(Checkpoint, OnDiskFormatIsPinned) {
   EXPECT_TRUE(back->blobs[1].empty());
 }
 
-TEST(CheckpointWriter, FailedWriteIsRethrownOnceByTheNextSubmitOrDrain) {
-  TempDir dir;
-  const std::string gone = dir.path() + "/missing";  // never created
-  CheckpointWriter writer(gone);
-  CheckpointImage image;
-  image.epoch = 1;
-  image.blobs = {blob_of(1)};
-  writer.submit(image);  // fails on the writer thread, not here
-  // Reported by the next submit, which then queues nothing.
-  EXPECT_THROW(writer.submit(image), Error);
-  writer.drain();  // reported exactly once
-  writer.submit(image);
+// ---------------------------------------------------------------------------
+// The per-rank commit: a spare overwritten in place and exchanged with the
+// committed file, and the restore that agrees on one epoch for all ranks.
+
+// The epoch in `path`, or 0 when it is missing or unreadable.
+int epoch_in(const std::filesystem::path& path, int world, int rank) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return 0;
+  const std::vector<char> raw((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
   try {
-    writer.drain();
-    FAIL() << "a failed write must surface at the drain";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("not committed"), std::string::npos)
-        << e.what();
+    return decode_rank_checkpoint(std::as_bytes(std::span(raw)), world, rank)
+        .epoch;
+  } catch (const Error&) {
+    return 0;
   }
-  writer.drain();
 }
 
-TEST(CheckpointWriter, CollectCompletesTheImageAndItsFailureFailsTheWrite) {
-  TempDir dir;
-  bool fail = false;
-  CheckpointWriter writer(dir.path(), [&fail](CheckpointImage& image) {
-    if (fail) throw Error("rank 1 is gone");
-    image.blobs[1] = blob_of(11);
-  });
-  CheckpointImage image;
-  image.epoch = 1;
-  image.blobs = {blob_of(10), {}};
-  writer.submit(image);
-  writer.drain();
-  const auto back = load_checkpoint(dir.path(), 2);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(value_of(back->blobs[1]), 11);
+ino_t inode_of(const std::filesystem::path& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
 
-  fail = true;  // the writer is idle: no race on the flag
-  image.epoch = 2;
-  writer.submit(image);
+void commit(const std::string& dir, int world, int rank, int epoch,
+            std::int32_t value) {
+  const std::vector<std::byte> blob = blob_of(value);
+  commit_rank_checkpoint(dir, world, rank, epoch, blob, /*keep_previous=*/true);
+}
+
+TEST(RankCommit, ExchangeKeepsThePreviousEpochAsTheSpare) {
+  TempDir dir;
+  const auto committed = rank_checkpoint_path(dir.path(), 0);
+  const auto spare = rank_spare_path(dir.path(), 0);
+  commit(dir.path(), 1, 0, 1, 10);
+  commit(dir.path(), 1, 0, 2, 20);
+  EXPECT_EQ(epoch_in(committed, 1, 0), 2);
+  EXPECT_EQ(epoch_in(spare, 1, 0), 1);
+  // From here on a cut creates and frees no inode: the two files trade
+  // names at every commit.
+  const ino_t a = inode_of(committed), b = inode_of(spare);
+  commit(dir.path(), 1, 0, 3, 30);
+  EXPECT_EQ(inode_of(committed), b);
+  EXPECT_EQ(inode_of(spare), a);
+  EXPECT_EQ(epoch_in(committed, 1, 0), 3);
+  EXPECT_EQ(epoch_in(spare, 1, 0), 2);
+  // A shorter blob over a longer spare leaves no stale tail.
+  commit_rank_checkpoint(dir.path(), 1, 0, 4, {}, /*keep_previous=*/true);
+  const auto back = load_checkpoint(dir.path(), 1);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->epoch, 4);
+  EXPECT_TRUE(back->blobs[0].empty());
+}
+
+TEST(RankCommit, FailedCommitThrowsAndLeavesTheCommittedFile) {
+  TempDir dir;
+  commit(dir.path(), 1, 0, 1, 10);
+  // A directory where the spare should be: the in-place write fails.
+  std::filesystem::create_directory(rank_spare_path(dir.path(), 0));
   try {
-    writer.drain();
-    FAIL() << "a failed collect must surface at the drain";
+    commit(dir.path(), 1, 0, 2, 20);
+    FAIL() << "a failed commit must throw";
   } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("rank 1 is gone"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("epoch 2 of rank 0 was not committed"),
+              std::string::npos)
         << e.what();
   }
-  EXPECT_EQ(load_checkpoint(dir.path(), 2)->epoch, 1);  // epoch 1 stays
+  const auto back = load_checkpoint(dir.path(), 1);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->epoch, 1);
+  EXPECT_EQ(value_of(back->blobs[0]), 10);
+}
+
+TEST(RankCommit, ChooseEpochPicksTheNewestEpochEveryRankHolds) {
+  // (committed, spare) per rank; 0 is a missing or torn file.
+  EXPECT_EQ(choose_epoch(std::vector<std::int64_t>{5, 4, 5, 4}), 5);
+  EXPECT_EQ(choose_epoch(std::vector<std::int64_t>{5, 4, 4, 3}), 4);
+  EXPECT_EQ(choose_epoch(std::vector<std::int64_t>{4, 5, 4, 0}), 4);
+  EXPECT_EQ(choose_epoch(std::vector<std::int64_t>{4, 3, 5, 4, 4, 0}), 4);
+  EXPECT_EQ(choose_epoch(std::vector<std::int64_t>{2, 1, 4, 3}), 0);
+  EXPECT_EQ(choose_epoch(std::vector<std::int64_t>{0, 0, 0, 0}), 0);
+  EXPECT_EQ(choose_epoch(std::vector<std::int64_t>{}), 0);
+  // A rank that could not read its committed file sends -1: no choice.
+  EXPECT_EQ(choose_epoch(std::vector<std::int64_t>{5, 4, -1, -1}), -1);
+}
+
+// Invariant: a committed file that is corrupt, truncated or names another
+// rank or world fails restore() loudly on every rank, never only on its
+// own (a peer waiting for it would hang on mailboxes).
+TEST(RankCommit, UnreadableCommittedFileFailsRestoreOnEveryRank) {
+  const auto flip = [](const std::string& dir) {
+    std::fstream f(rank_checkpoint_path(dir, 1),
+                   std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(30);
+    f.put('\x7f');
+  };
+  const auto truncate = [](const std::string& dir) {
+    const auto file = rank_checkpoint_path(dir, 1);
+    std::filesystem::resize_file(file, std::filesystem::file_size(file) - 1);
+  };
+  const auto other_rank = [](const std::string& dir) {
+    std::filesystem::copy_file(
+        rank_checkpoint_path(dir, 0), rank_checkpoint_path(dir, 1),
+        std::filesystem::copy_options::overwrite_existing);
+  };
+  const auto other_world = [](const std::string& dir) {
+    const std::vector<std::byte> blob = blob_of(1);
+    commit_rank_checkpoint(dir, 3, 1, 2, blob, /*keep_previous=*/false);
+  };
+  using Damage = std::function<void(const std::string&)>;
+  for (const Damage& damage : {Damage(flip), Damage(truncate),
+                               Damage(other_rank), Damage(other_world)}) {
+    TempDir dir;
+    save_checkpoint(dir.path(), {2, {blob_of(20), blob_of(21)}});
+    damage(dir.path());
+    RunOptions opt;
+    opt.resilience.checkpoint_dir = dir.path();
+    std::atomic<int> threw{0};
+    EXPECT_THROW(run_world(2, opt,
+                           [&](Comm& comm) {
+                             try {
+                               comm.restore();
+                             } catch (const Error&) {
+                               threw.fetch_add(1);
+                               throw;
+                             }
+                           }),
+                 Error);
+    EXPECT_EQ(threw.load(), 2);
+  }
+}
+
+// Invariant: restore() hands every rank its blob of the newest epoch that
+// all ranks hold, from the committed file or the spare, and nullopt on
+// every rank when no epoch is common.
+TEST(RankCommit, RestoreAgreesOnTheNewestEpochEveryRankHolds) {
+  TempDir dir;
+  // Rank 0 finished cut 3; rank 1 was killed after writing its spare but
+  // before the exchange; rank 2 was killed while writing its spare.
+  for (int r = 0; r < 3; ++r)
+    for (int e = 1; e <= 2; ++e) commit(dir.path(), 3, r, e, 10 * e + r);
+  commit(dir.path(), 3, 0, 3, 30);
+  {
+    const std::vector<std::byte> blob = blob_of(31);
+    const auto image = encode_rank_checkpoint(3, 1, 3, blob);
+    std::ofstream(rank_spare_path(dir.path(), 1), std::ios::binary)
+        .write(reinterpret_cast<const char*>(image.data()),
+               static_cast<std::streamsize>(image.size()));
+    std::ofstream(rank_spare_path(dir.path(), 2), std::ios::binary) << "torn";
+  }
+  RunOptions opt;
+  opt.resilience.checkpoint_dir = dir.path();
+  run_world(3, opt, [](Comm& comm) {
+    const auto blob = comm.restore();
+    ASSERT_TRUE(blob.has_value());
+    EXPECT_EQ(comm.checkpoint_epoch(), 2);
+    EXPECT_EQ(value_of(*blob), 20 + comm.rank());
+  });
+  const auto image = load_checkpoint(dir.path(), 3);
+  ASSERT_TRUE(image.has_value());
+  EXPECT_EQ(image->epoch, 2);
+
+  // Rank 1 alone holds epochs 3 and 4 now: nothing is common.
+  TempDir apart;
+  commit(apart.path(), 2, 0, 1, 1);
+  commit(apart.path(), 2, 0, 2, 2);
+  commit(apart.path(), 2, 1, 3, 3);
+  commit(apart.path(), 2, 1, 4, 4);
+  opt.resilience.checkpoint_dir = apart.path();
+  run_world(2, opt, [](Comm& comm) {
+    EXPECT_FALSE(comm.restore().has_value());
+    EXPECT_EQ(comm.checkpoint_epoch(), 0);
+  });
+  EXPECT_FALSE(load_checkpoint(apart.path(), 2).has_value());
+  // Nothing agreed, nothing kept: no rank's file can pair with a later
+  // run's epochs.
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_FALSE(
+        std::filesystem::exists(rank_checkpoint_path(apart.path(), r)));
+    EXPECT_FALSE(std::filesystem::exists(rank_spare_path(apart.path(), r)));
+  }
+}
+
+// Invariant: after restore() no rank keeps a file newer than the agreed
+// epoch, and a Comm that restored nothing replaces the files of an earlier
+// run at its first cut. A later crash therefore never finds a stale epoch
+// to pair with a replayed one.
+TEST(RankCommit, RestoreDropsNewerEpochsAndAFreshCutDropsOldFiles) {
+  TempDir dir;
+  commit(dir.path(), 3, 0, 1, 1);
+  commit(dir.path(), 3, 0, 2, 2);  // rank 0: committed 2, spare 1
+  commit(dir.path(), 3, 1, 1, 1);
+  commit(dir.path(), 3, 1, 2, 2);
+  commit(dir.path(), 3, 1, 3, 3);  // rank 1: committed 3, spare 2
+  commit(dir.path(), 3, 2, 2, 2);
+  {
+    // Rank 2: committed 2 and a complete spare of epoch 3 (killed between
+    // the write and the exchange).
+    const std::vector<std::byte> blob = blob_of(3);
+    const auto image = encode_rank_checkpoint(3, 2, 3, blob);
+    std::ofstream(rank_spare_path(dir.path(), 2), std::ios::binary)
+        .write(reinterpret_cast<const char*>(image.data()),
+               static_cast<std::streamsize>(image.size()));
+  }
+  RunOptions opt;
+  opt.resilience.checkpoint_dir = dir.path();
+  run_world(3, opt, [](Comm& comm) {
+    const auto blob = comm.restore();
+    ASSERT_TRUE(blob.has_value());
+    EXPECT_EQ(value_of(*blob), 2);
+  });
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(epoch_in(rank_checkpoint_path(dir.path(), r), 3, r), 2) << r;
+    EXPECT_LT(epoch_in(rank_spare_path(dir.path(), r), 3, r), 2) << r;
+  }
+
+  // A new run that does not restore: its first cut leaves epoch 1 alone.
+  run_world(3, opt, [](Comm& comm) {
+    const std::vector<std::byte> blob = blob_of(100);
+    EXPECT_EQ(comm.checkpoint(blob.data(), blob.size()), 1);
+  });
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(epoch_in(rank_checkpoint_path(dir.path(), r), 3, r), 1) << r;
+    EXPECT_FALSE(std::filesystem::exists(rank_spare_path(dir.path(), r))) << r;
+  }
 }
 
 TEST(Resilience, NonRootCutDoesNotWaitForRankZero) {
@@ -343,8 +524,8 @@ TEST(Resilience, NonRootCutDoesNotWaitForRankZero) {
 }
 
 TEST(Resilience, EmptyBlobsTravelAsEmptyMessages) {
-  // Each blob is one message, so an empty slab is a zero-length frame on
-  // both the cut and the restore path, over mailboxes and over sockets.
+  // An empty slab commits as a zero-length blob and restores as one, over
+  // mailboxes and over sockets.
   for (const TransportKind kind : {TransportKind::kInproc, TransportKind::kTcp}) {
     TempDir dir;
     RunOptions opt;
@@ -361,11 +542,15 @@ TEST(Resilience, EmptyBlobsTravelAsEmptyMessages) {
   }
 }
 
-TEST(Resilience, CheckpointWriteIsObservedOffTheCriticalPath) {
+TEST(Resilience, CheckpointCommitIsObservedOnEveryRank) {
   const bool was = obs::set_enabled(true);
   auto& registry = obs::Registry::global();
   obs::Histogram& writes = registry.histogram("mpp.checkpoint_write_ns");
+  obs::Counter& cuts = registry.counter("mpp.checkpoints");
+  obs::Counter& bytes = registry.counter("mpp.checkpoint_bytes");
   const std::uint64_t writes_before = writes.count();
+  const std::uint64_t cuts_before = cuts.value();
+  const std::uint64_t bytes_before = bytes.value();
   obs::Tracer::global().clear();
   TempDir dir;
   RunOptions opt;
@@ -375,31 +560,36 @@ TEST(Resilience, CheckpointWriteIsObservedOffTheCriticalPath) {
     for (int e = 0; e < 4; ++e) comm.checkpoint(blob.data(), blob.size());
   });
   obs::set_enabled(was);
-  EXPECT_EQ(writes.count() - writes_before, 4u);
-  // The wait counter exists from the first cut on (a fast disk may leave
-  // it at zero).
-  bool wait_counter = false;
+  // Each rank times its own commit; rank 0 counts the cut once; the bytes
+  // are every rank's blob.
+  EXPECT_EQ(writes.count() - writes_before, 8u);
+  EXPECT_EQ(cuts.value() - cuts_before, 4u);
+  EXPECT_EQ(bytes.value() - bytes_before, 4u * 2u * sizeof(std::int32_t));
   for (const auto& sample : registry.samples())
-    wait_counter |= sample.name == "mpp.checkpoint_wait_ns";
-  EXPECT_TRUE(wait_counter);
-  // Every write is a span on the writer thread, never on a rank's thread.
-  std::vector<int> cut_tids, write_tids;
+    EXPECT_NE(sample.name, "mpp.checkpoint_wait_ns");
+  // Every commit is a span inside its rank's cut span, on the rank's
+  // thread.
+  std::vector<obs::TraceEvent> cut_spans, write_spans;
   for (const auto& ev : obs::Tracer::global().snapshot()) {
-    if (ev.name == "mpp.checkpoint") cut_tids.push_back(ev.tid);
-    if (ev.name == "mpp.checkpoint_write") write_tids.push_back(ev.tid);
+    if (ev.name == "mpp.checkpoint") cut_spans.push_back(ev);
+    if (ev.name == "mpp.checkpoint_write") write_spans.push_back(ev);
   }
-  EXPECT_EQ(cut_tids.size(), 8u);
-  ASSERT_EQ(write_tids.size(), 4u);
-  for (int tid : write_tids) {
-    EXPECT_EQ(tid, write_tids[0]);
-    EXPECT_EQ(std::count(cut_tids.begin(), cut_tids.end(), tid), 0);
+  ASSERT_EQ(cut_spans.size(), 8u);
+  ASSERT_EQ(write_spans.size(), 8u);
+  for (const auto& w : write_spans) {
+    const bool inside = std::any_of(
+        cut_spans.begin(), cut_spans.end(), [&](const obs::TraceEvent& c) {
+          return c.tid == w.tid && c.ts_ns <= w.ts_ns &&
+                 w.ts_ns + w.dur_ns <= c.ts_ns + c.dur_ns;
+        });
+    EXPECT_TRUE(inside);
   }
 }
 
 // ---------------------------------------------------------------------------
-// The asynchronous-commit durability contract, on threaded and spawned
-// worlds alike: the committed checkpoint may lag the last cut by one only
-// while rank 0 is alive; every body exit drains it.
+// The durability contract, on threaded and spawned worlds alike: every
+// rank's cut is committed when checkpoint() returns, so only a rank killed
+// mid-cut leaves its previous epoch, and the world then restores that one.
 
 enum class WorldKind { kThreads, kSpawned };
 
@@ -443,8 +633,7 @@ TEST_P(Durability, BodyThrowingRightAfterACutRestartsFromThatEpoch) {
       const std::vector<std::byte> blob = blob_of(100 * comm.rank() + e);
       comm.checkpoint(blob.data(), blob.size());
     }
-    // Rank 0's last write is still in flight here; the launcher must land
-    // it before the supervisor restarts the world.
+    // Every rank's last cut is on disk before checkpoint() returns.
     throw Error("transient failure right after the last cut");
   });
   EXPECT_EQ(out.restarts, 1);
@@ -480,13 +669,12 @@ TEST_P(Durability, FailedWriteSurfacesAtTheNextCut) {
     run_world(2, opt, [&](Comm& comm) {
       const std::vector<std::byte> blob = blob_of(comm.rank());
       comm.checkpoint(blob.data(), blob.size());
-      // Moved away in one step: removing it file by file would race the
-      // first write, which may still be creating its temp file there.
+      comm.barrier();  // every rank's first cut is committed
+      // Moved away in one step, so every rank's next commit fails.
       if (comm.rank() == 0)
         std::filesystem::rename(ckpt_dir, ckpt_dir + ".gone");
       comm.barrier();
-      // Whichever write lost its directory, rank 0 reports it here or at
-      // the body exit; the world must fail either way.
+      // Every rank's next cut lost its directory and throws.
       for (int e = 0; e < 3; ++e) {
         comm.checkpoint(blob.data(), blob.size());
         comm.barrier();
@@ -518,9 +706,9 @@ TEST_P(Durability, StaleTempFileBesideAGoodCheckpointIsIgnored) {
   image.epoch = 4;
   image.blobs = {blob_of(40), blob_of(41)};
   save_checkpoint(dir.path(), image);
-  {
-    // What a rank 0 killed mid-write leaves behind: a torn temp file.
-    std::ofstream tmp(dir.path() + "/ckpt.tmp", std::ios::binary);
+  for (int r = 0; r < 2; ++r) {
+    // What a rank killed mid-write leaves behind: a torn spare.
+    std::ofstream tmp(rank_spare_path(dir.path(), r), std::ios::binary);
     tmp << "torn";
   }
   RunOptions opt = options();
@@ -538,7 +726,60 @@ TEST_P(Durability, StaleTempFileBesideAGoodCheckpointIsIgnored) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->epoch, 5);
   EXPECT_EQ(value_of(back->blobs[1]), 51);
-  EXPECT_FALSE(std::filesystem::exists(dir.path() + "/ckpt.tmp"));
+  // The torn spare was overwritten and now holds epoch 4.
+  EXPECT_EQ(epoch_in(rank_spare_path(dir.path(), 1), 2, 1), 4);
+}
+
+TEST_P(Durability, SigkillOfANonRootRankMidCutRestoresByteIdentically) {
+  // Each rank folds its rank into a running hash every round and cuts
+  // after every round. In the first attempt rank 2 dies mid-cut: its spare
+  // is torn and it is SIGKILLed (or throws, on threads) before the
+  // exchange. The restart restores the newest epoch every rank holds and
+  // replays from it; the gathered states must equal an unbroken run's.
+  constexpr int kRounds = 12;
+  constexpr int kDieAt = 7;
+  TempDir dir;
+  const std::string ckpt_dir = dir.path() + "/killed";
+  const auto body = [&ckpt_dir](bool kill) {
+    return [kill, &ckpt_dir](Comm& comm) {
+      std::uint64_t state = 1469598103934665603ull;
+      int round = 0;
+      bool die = kill;
+      if (const auto blob = comm.restore()) {
+        require(blob->size() == sizeof(state), "restored blob size");
+        std::memcpy(&state, blob->data(), sizeof(state));
+        round = comm.checkpoint_epoch();
+        die = false;
+      }
+      for (; round < kRounds; ++round) {
+        state = (state ^ static_cast<std::uint64_t>(comm.rank() + round)) *
+                1099511628211ull;
+        comm.allreduce_sum(1);
+        if (die && comm.rank() == 2 && round + 1 == kDieAt) {
+          std::ofstream(rank_spare_path(ckpt_dir, 2),
+                        std::ios::binary)
+              << "torn";
+          if (in_spawned_worker()) ::raise(SIGKILL);
+          throw Error("rank 2 died mid-cut");
+        }
+        comm.checkpoint(&state, sizeof(state));
+      }
+      const std::vector<std::uint64_t> all = comm.gather(0, std::vector{state});
+      if (comm.rank() == 0)
+        comm.set_result(all.data(), all.size() * sizeof(std::uint64_t));
+    };
+  };
+  RunOptions clean = options();
+  clean.resilience.max_restarts = 1;
+  const RunOutcome expected = run_world(3, clean, body(false));
+  EXPECT_EQ(expected.restarts, 0);
+  RunOptions killed = options();
+  killed.resilience.max_restarts = 1;
+  killed.resilience.checkpoint_dir = ckpt_dir;
+  const RunOutcome got = run_world(3, killed, body(true));
+  EXPECT_EQ(got.restarts, 1);
+  ASSERT_EQ(got.rank0_result.size(), 3 * sizeof(std::uint64_t));
+  EXPECT_EQ(got.rank0_result, expected.rank0_result);
 }
 
 INSTANTIATE_TEST_SUITE_P(Worlds, Durability,

@@ -139,7 +139,7 @@ TEST(Variants, TraceCapturesLazyShrinkage) {
 TEST(Variants, NonSquareTilesReachReferenceFixedPoint) {
   Field expected = sparse_random_pile(30, 46, 0.25, 4, 40, 31);
   stabilize_reference(expected);
-  for (const auto [th, tw] : {std::pair{4, 16}, {16, 4}, {7, 11}}) {
+  for (const auto& [th, tw] : {std::pair{4, 16}, {16, 4}, {7, 11}}) {
     Field f = sparse_random_pile(30, 46, 0.25, 4, 40, 31);
     VariantOptions opt;
     opt.tile_h = th;

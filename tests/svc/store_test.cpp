@@ -137,7 +137,7 @@ TEST(JobStore, EraseAndCheckpointDirLifecycle) {
 
   const std::string ckpt = store.checkpoint_dir(id);
   std::filesystem::create_directories(ckpt);
-  std::ofstream(ckpt + "/ckpt.bin") << "bytes";
+  std::ofstream(ckpt + "/rank-0.ckpt") << "bytes";
   EXPECT_TRUE(std::filesystem::exists(ckpt));
   store.remove_checkpoint(id);
   EXPECT_FALSE(std::filesystem::exists(ckpt));
@@ -161,6 +161,32 @@ TEST(JobStore, RewriteReplacesTheCommittedState) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->state, JobState::kDone);
   EXPECT_EQ(back->result.size(), 2u);
+}
+
+TEST(JobStore, StaleTempRecordBesideItsRecordIsIgnored) {
+  // A daemon killed between the write and the rename of a commit leaves a
+  // complete job-N.rec.tmp beside the committed job-N.rec. It is not a
+  // second record of job N, and not a corrupt one either.
+  TempDir dir;
+  JobStore store(dir.path());
+  JobRecord rec = sample_record(store.allocate_id(), JobState::kRunning);
+  const std::vector<std::byte> stale = encode_record(rec);
+  rec.state = JobState::kDone;
+  rec.result = {std::byte{7}};
+  store.put(rec);
+  std::ofstream(std::filesystem::path(dir.path()) / "jobs" /
+                    ("job-" + std::to_string(rec.id) + ".rec.tmp"),
+                std::ios::binary)
+      .write(reinterpret_cast<const char*>(stale.data()),
+             static_cast<std::streamsize>(stale.size()));
+
+  JobStore reopened(dir.path());
+  const auto all = reopened.load_all();
+  ASSERT_EQ(all.size(), 1u);
+  EXPECT_EQ(all[0].id, rec.id);
+  EXPECT_EQ(all[0].state, JobState::kDone);
+  EXPECT_EQ(all[0].result, rec.result);
+  EXPECT_EQ(reopened.corrupt_skipped(), 0);
 }
 
 }  // namespace

@@ -217,7 +217,7 @@ TEST(Simulate, FairShareMontageReproducesShape) {
 TEST(Simulate, VmCountLimitsCloudParallelism) {
   WorkflowBuilder b;
   for (int i = 0; i < 32; ++i)
-    b.add_task("t" + std::to_string(i), 14e9, {}, {});
+    b.add_task(std::string("t") + std::to_string(i), 14e9, {}, {});
   const Workflow wf = b.build();
   RunConfig cfg;
   cfg.nodes_on = 0;
