@@ -33,6 +33,15 @@ int main() {
                    Placement::level_fractions(wf, {1.0, 1.0})});
   cases.push_back({"3/4 of levels 0,1,4 on cloud",
                    Placement::level_fractions(wf, {0.75, 0.75, 0, 0, 0.75})});
+  // Uniform mixes (every level sends the same fraction to the cloud), as
+  // the job service sweeps them.
+  for (const auto& [label, f] : {std::pair{"uniform 1/4 on cloud", 0.25},
+                                 std::pair{"uniform 1/2 on cloud", 0.5},
+                                 std::pair{"uniform 3/4 on cloud", 0.75}})
+    cases.push_back(
+        {label, Placement::level_fractions(
+                    wf, std::vector<double>(
+                            static_cast<std::size_t>(wf.num_levels()), f))});
 
   TextTable t({"placement", "fifo time_s", "fair time_s", "fifo gCO2e",
                "fair gCO2e", "gCO2e delta %"});

@@ -7,27 +7,12 @@
 
 #include "core/error.hpp"
 #include "sim/engine.hpp"
+#include "sim/flows.hpp"
 
 namespace peachy::machine {
 namespace {
 
 constexpr double kGiga = 1e9;
-
-struct EdgeState {
-  int active = 0;
-  double bytes = 0.0;
-  double busy_s = 0.0;
-  double busy_since = 0.0;  // valid while active > 0
-};
-
-struct FlowState {
-  Route route;
-  double remaining = 0.0;
-  double rate = 0.0;
-  double last_update = 0.0;
-  bool active = false;
-  bool done = false;
-};
 
 class Simulation {
  public:
@@ -44,14 +29,22 @@ class Simulation {
     report_.transfer_start_s.assign(nx, -1.0);
     report_.transfer_finish_s.assign(nx, -1.0);
 
-    flows_.resize(nx);
+    route_edges_.resize(nx);
     out_transfers_.assign(nt, {});
     dependents_.assign(nt, {});
     for (std::size_t i = 0; i < nx; ++i) {
       const Transfer& x = dag_.transfers[static_cast<std::size_t>(i)];
-      flows_[i].route = route(m_, dag_.tasks[static_cast<std::size_t>(x.src)].core,
-                              dag_.tasks[static_cast<std::size_t>(x.dst)].core);
-      flows_[i].remaining = x.bytes;
+      const Route r = route(m_, dag_.tasks[static_cast<std::size_t>(x.src)].core,
+                            dag_.tasks[static_cast<std::size_t>(x.dst)].core);
+      route_latency_s_.push_back(r.latency_s);
+      // Intern each edge to a dense flow-set id. Zero-byte transfers never
+      // load an edge, so they do not put it in the report either.
+      if (x.bytes > 0.0)
+        for (const EdgeRef& e : r.edges) {
+          const auto [it, fresh] = edge_ids_.try_emplace(e, 0);
+          if (fresh) it->second = flows_.add_edge(edge_spec(m_, e).bytes_per_s);
+          route_edges_[i].push_back(it->second);
+        }
       out_transfers_[static_cast<std::size_t>(x.src)].push_back(
           static_cast<int>(i));
       ++pending_[static_cast<std::size_t>(x.dst)];
@@ -71,10 +64,8 @@ class Simulation {
       PEACHY_REQUIRE(finished_[t],
                      "task " << t << " never became ready — cyclic or "
                                      "unsatisfiable dependencies");
-    for (const auto& [edge, st] : edge_states_) {
-      PEACHY_CHECK(st.active == 0);
-      report_.edges.push_back({edge, st.bytes, st.busy_s});
-    }
+    for (const auto& [edge, id] : edge_ids_)
+      report_.edges.push_back({edge, flows_.bytes(id), flows_.busy_s(id)});
     for (double f : report_.task_finish_s)
       report_.makespan_s = std::max(report_.makespan_s, f);
     for (double f : report_.transfer_finish_s)
@@ -128,27 +119,13 @@ class Simulation {
     for (int x : out_transfers_[static_cast<std::size_t>(t)]) start_transfer(x);
   }
 
+  // Same-core (or empty) transfers pay the route latency only; zero-byte
+  // transfers are pure latency signals.
   void start_transfer(int x) {
-    FlowState& f = flows_[static_cast<std::size_t>(x)];
-    report_.transfer_start_s[static_cast<std::size_t>(x)] = engine_.now();
-    if (f.route.edges.empty() || f.remaining <= 0.0) {
-      // Same-core (or empty) transfers still pay the route latency, nothing
-      // else; zero-byte transfers are pure latency signals.
-      engine_.schedule_in(f.route.latency_s, [this, x] { finish_transfer(x); });
-      return;
-    }
-    engine_.schedule_in(f.route.latency_s, [this, x] { activate_flow(x); });
-  }
-
-  void activate_flow(int x) {
-    FlowState& f = flows_[static_cast<std::size_t>(x)];
-    f.active = true;
-    f.last_update = engine_.now();
-    for (const EdgeRef& e : f.route.edges) {
-      EdgeState& st = edge_states_[e];
-      if (st.active++ == 0) st.busy_since = engine_.now();
-    }
-    recompute_rates();
+    const auto i = static_cast<std::size_t>(x);
+    report_.transfer_start_s[i] = engine_.now();
+    flows_.start(route_edges_[i], dag_.transfers[i].bytes, route_latency_s_[i],
+                 [this, x] { finish_transfer(x); });
   }
 
   void finish_transfer(int x) {
@@ -157,59 +134,20 @@ class Simulation {
     if (--pending_[static_cast<std::size_t>(t.dst)] == 0) ready(t.dst);
   }
 
-  void complete_flow(int x) {
-    FlowState& f = flows_[static_cast<std::size_t>(x)];
-    f.active = false;
-    f.done = true;
-    f.remaining = 0.0;
-    for (const EdgeRef& e : f.route.edges) {
-      EdgeState& st = edge_states_[e];
-      st.bytes += dag_.transfers[static_cast<std::size_t>(x)].bytes;
-      if (--st.active == 0) st.busy_s += engine_.now() - st.busy_since;
-    }
-    finish_transfer(x);
-    recompute_rates();
-  }
-
-  // The fair-share step: advance every active flow to `now`, re-derive its
-  // rate from current edge occupancy, and (re)schedule its completion. Stale
-  // completion events are invalidated by the epoch stamp.
-  void recompute_rates() {
-    const double now = engine_.now();
-    ++epoch_;
-    for (std::size_t x = 0; x < flows_.size(); ++x) {
-      FlowState& f = flows_[x];
-      if (!f.active) continue;
-      f.remaining = std::max(0.0, f.remaining - f.rate * (now - f.last_update));
-      f.last_update = now;
-      double rate = f.route.min_bytes_per_s;
-      for (const EdgeRef& e : f.route.edges) {
-        const EdgeState& st = edge_states_[e];
-        rate = std::min(rate, edge_spec(m_, e).bytes_per_s / st.active);
-      }
-      f.rate = rate;
-      const double eta = f.remaining / rate;
-      const std::uint64_t stamp = epoch_;
-      engine_.schedule_in(eta, [this, x, stamp] {
-        if (stamp != epoch_) return;  // superseded by a later recompute
-        complete_flow(static_cast<int>(x));
-      });
-    }
-  }
-
   const Machine& m_;
   const Dag& dag_;
   sim::Engine engine_;
+  sim::FlowSet flows_{engine_, sim::Sharing::kFairShare};
   Report report_;
 
   std::vector<int> pending_;
   std::vector<char> finished_;
   std::vector<std::vector<int>> dependents_;
   std::vector<std::vector<int>> out_transfers_;
-  std::vector<FlowState> flows_;
+  std::vector<std::vector<int>> route_edges_;  // flow-set edge ids
+  std::vector<double> route_latency_s_;
   std::map<CoreKey, double> core_free_;
-  std::map<EdgeRef, EdgeState> edge_states_;
-  std::uint64_t epoch_ = 0;
+  std::map<EdgeRef, int> edge_ids_;
 };
 
 }  // namespace

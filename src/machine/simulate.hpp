@@ -2,11 +2,11 @@
 //
 // Tasks are pinned to cores and run FIFO per core; transfers between tasks
 // are routed through the hierarchy (machine::route) and share every edge on
-// their path fair-share, SimGrid-style: whenever the set of active flows
-// changes, each flow's rate becomes min over its route edges of
-// bandwidth(edge) / flows_on(edge), and in-flight progress is advanced
-// before rates are recomputed. Route latency is paid once per transfer as a
-// fixed delay before the flow starts moving bytes.
+// their path fair-share, SimGrid-style, as flows of one sim::FlowSet: whenever
+// the set of active flows changes, each flow's rate becomes min over its
+// route edges of bandwidth(edge) / flows_on(edge), and in-flight progress is
+// advanced before rates are recomputed. Route latency is paid once per
+// transfer as a fixed delay before the flow starts moving bytes.
 //
 // Everything runs on sim::Engine, so results are deterministic and
 // bit-reproducible: equal-time events fire in scheduling order.

@@ -18,6 +18,7 @@
 
 #include "core/error.hpp"
 #include "machine/machine.hpp"
+#include "sim/flows.hpp"
 
 namespace peachy::wf {
 
@@ -43,12 +44,10 @@ struct CloudConfig {
   double gco2_per_kwh = 25;  ///< green, but not literally zero
 };
 
-/// How concurrent transfers share the wide-area link.
-enum class LinkSharing {
-  kFifo,       ///< store-and-forward: one transfer at a time, full rate
-  kFairShare,  ///< progressive fair sharing (SimGrid-style): n concurrent
-               ///< transfers each progress at bandwidth/n
-};
+/// How concurrent transfers share the wide-area link: kFifo (store-and-
+/// forward, one transfer at a time at full rate) or kFairShare (n
+/// concurrent transfers each progress at bandwidth / n).
+using LinkSharing = sim::Sharing;
 
 /// The wide-area link between the organization and the cloud.
 struct LinkConfig {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <set>
 
 #include "obs/obs.hpp"
@@ -44,10 +43,16 @@ namespace {
 
 /// Whole mutable state of one simulation.
 struct SimState {
+  SimState(const Workflow& w, const Platform& p, const RunConfig& c)
+      : wf(&w), plat(&p), cfg(c), flows(engine, p.link.sharing),
+        link{flows.add_edge(p.link.bytes_per_s)} {}
+
   const Workflow* wf;
   const Platform* plat;
   RunConfig cfg;
   sim::Engine engine;
+  sim::FlowSet flows;
+  std::vector<int> link;  // the cluster<->cloud link: the one-edge route
 
   // File presence per site, and in-flight transfer tracking.
   // present[site][file], inflight[site][file] -> tasks waiting for it.
@@ -72,24 +77,10 @@ struct SimState {
   std::set<int> ready_cluster;
   std::set<int> ready_cloud;
 
-  // Link state. FIFO mode uses the queue + busy flag; fair-share mode
-  // tracks in-flight transfers with remaining byte counts and reschedules
-  // the earliest completion whenever the active set changes (epoch-stamped
-  // events stand in for cancellation).
-  std::deque<std::pair<int, int>> link_queue;  // (file, dest site)
-  bool link_busy = false;
-  struct ActiveTransfer {
-    int file;
-    int dest;
-    double remaining_bytes;
-  };
-  std::vector<ActiveTransfer> link_active;
-  double link_progress_time = 0;  // sim time of the last progress update
-  std::uint64_t link_epoch = 0;
-
   // Accounting.
   SimResult result;
   int tasks_done = 0;
+  double last_done_s = 0;  // not engine.now(): stale flow events fire late
 
   double vm_speed() const { return plat->cloud.vm_gflops * 1e9; }
 
@@ -101,15 +92,8 @@ struct SimState {
   void try_dispatch();
   void start_task(int task);
   void request_inputs(int task);
-  void start_next_transfer();
   void on_transfer_done(int file, int dest);
   void on_task_done(int task);
-
-  // Fair-share link machinery.
-  void fair_enqueue(int file, int dest);
-  void fair_advance_progress();
-  void fair_schedule_completion();
-  void fair_on_completion_event(std::uint64_t epoch);
 };
 
 void SimState::on_task_ready(int task) {
@@ -137,10 +121,9 @@ void SimState::try_dispatch() {
   }
 }
 
-// Executor already reserved; count missing inputs and enqueue transfers.
+// Executor already reserved; count missing inputs and start their transfers.
 void SimState::request_inputs(int task) {
   const int si = site_index(site_of(task));
-  const bool fair = plat->link.sharing == LinkSharing::kFairShare;
   int missing = 0;
   for (int fid : wf->task(task).inputs) {
     const auto f = static_cast<std::size_t>(fid);
@@ -148,93 +131,18 @@ void SimState::request_inputs(int task) {
     ++missing;
     if (!inflight[static_cast<std::size_t>(si)][f]) {
       inflight[static_cast<std::size_t>(si)][f] = true;
-      if (fair)
-        fair_enqueue(fid, si);
-      else
-        link_queue.emplace_back(fid, si);
+      const double bytes = wf->file(fid).bytes;
+      result.transferred_bytes += bytes;
+      ++result.transfers;
+      flows.start(link, bytes, plat->link.latency_s,
+                  [this, fid, si] { on_transfer_done(fid, si); });
     }
   }
   missing_inputs[static_cast<std::size_t>(task)] = missing;
-  if (missing == 0)
-    start_task(task);
-  else if (!fair)
-    start_next_transfer();
-}
-
-void SimState::start_next_transfer() {
-  if (link_busy || link_queue.empty()) return;
-  const auto [fid, dest] = link_queue.front();
-  link_queue.pop_front();
-  link_busy = true;
-  const double bytes = wf->file(fid).bytes;
-  const double duration = plat->link.latency_s + bytes / plat->link.bytes_per_s;
-  result.link_busy_s += duration;
-  result.transferred_bytes += bytes;
-  ++result.transfers;
-  engine.schedule_in(duration,
-                     [this, fid = fid, dest = dest] { on_transfer_done(fid, dest); });
-}
-
-// --- Fair-share link ------------------------------------------------------
-
-void SimState::fair_enqueue(int file, int dest) {
-  const double bytes = wf->file(file).bytes;
-  result.transferred_bytes += bytes;
-  ++result.transfers;
-  // Latency is an upfront per-transfer delay; the payload then joins the
-  // fair-shared pipe.
-  engine.schedule_in(plat->link.latency_s, [this, file, dest, bytes] {
-    fair_advance_progress();
-    link_active.push_back(ActiveTransfer{file, dest, bytes});
-    fair_schedule_completion();
-  });
-}
-
-// Charges elapsed time against every in-flight transfer at the current
-// fair rate and accounts link busy time.
-void SimState::fair_advance_progress() {
-  const double now = engine.now();
-  const double elapsed = now - link_progress_time;
-  link_progress_time = now;
-  if (link_active.empty() || elapsed <= 0) return;
-  const double rate =
-      plat->link.bytes_per_s / static_cast<double>(link_active.size());
-  for (ActiveTransfer& t : link_active)
-    t.remaining_bytes = std::max(0.0, t.remaining_bytes - elapsed * rate);
-  result.link_busy_s += elapsed;
-}
-
-void SimState::fair_schedule_completion() {
-  if (link_active.empty()) return;
-  double min_remaining = link_active.front().remaining_bytes;
-  for (const ActiveTransfer& t : link_active)
-    min_remaining = std::min(min_remaining, t.remaining_bytes);
-  const double rate =
-      plat->link.bytes_per_s / static_cast<double>(link_active.size());
-  const std::uint64_t epoch = ++link_epoch;
-  engine.schedule_in(min_remaining / rate,
-                     [this, epoch] { fair_on_completion_event(epoch); });
-}
-
-void SimState::fair_on_completion_event(std::uint64_t epoch) {
-  if (epoch != link_epoch) return;  // superseded by a rate change
-  fair_advance_progress();
-  // Deliver every transfer that finished (ties complete together).
-  std::vector<ActiveTransfer> done;
-  for (std::size_t i = 0; i < link_active.size();) {
-    if (link_active[i].remaining_bytes <= 1e-6) {
-      done.push_back(link_active[i]);
-      link_active.erase(link_active.begin() + static_cast<std::ptrdiff_t>(i));
-    } else {
-      ++i;
-    }
-  }
-  for (const ActiveTransfer& t : done) on_transfer_done(t.file, t.dest);
-  fair_schedule_completion();
+  if (missing == 0) start_task(task);
 }
 
 void SimState::on_transfer_done(int file, int dest) {
-  link_busy = false;
   const auto f = static_cast<std::size_t>(file);
   present[static_cast<std::size_t>(dest)][f] = true;
   inflight[static_cast<std::size_t>(dest)][f] = false;
@@ -247,7 +155,6 @@ void SimState::on_transfer_done(int file, int dest) {
       if (--missing_inputs[c] == 0) start_task(consumer);
     }
   }
-  start_next_transfer();
 }
 
 void SimState::start_task(int task) {
@@ -305,6 +212,7 @@ void SimState::on_task_done(int task) {
     ++free_vms;
   }
   ++tasks_done;
+  last_done_s = engine.now();
 
   for (int child : wf->task(task).children) {
     const auto c = static_cast<std::size_t>(child);
@@ -330,10 +238,7 @@ SimResult simulate(const Workflow& wf, const Platform& platform,
                  "node_pstates must have nodes_on entries, got "
                      << config.node_pstates.size());
 
-  SimState st;
-  st.wf = &wf;
-  st.plat = &platform;
-  st.cfg = config;
+  SimState st(wf, platform, config);
   if (st.cfg.placement.empty())
     st.cfg.placement = Placement::all(wf, Site::kCluster);
 
@@ -394,7 +299,8 @@ SimResult simulate(const Workflow& wf, const Platform& platform,
                                         << wf.num_tasks() << " tasks finished");
 
   SimResult r = st.result;
-  r.makespan_s = st.engine.now();
+  r.makespan_s = st.last_done_s;
+  r.link_busy_s = st.flows.busy_s(st.link.front());
 
   r.cluster_energy_j = 0;
   for (int n = 0; n < config.nodes_on; ++n) {

@@ -5,8 +5,8 @@
 //    (the assignment's simplifying homogeneity assumption);
 //  * the cloud runs a fixed number of single-task VMs;
 //  * every file lives at one or both sites; a task placed at a site first
-//    pulls its missing inputs through the shared link (FIFO store-and-
-//    forward: latency + bytes/bandwidth per file, one transfer at a time);
+//    pulls its missing inputs through the shared link (a sim::FlowSet edge;
+//    FIFO by default: latency + bytes/bandwidth per file, one at a time);
 //    outputs are written to the executing site's storage — hence the data
 //    locality the assignment highlights (a cloud child of a cloud parent
 //    transfers nothing);
@@ -74,7 +74,13 @@ struct SimResult {
   double total_gco2 = 0;
   double cluster_busy_node_s = 0;
   double cloud_busy_vm_s = 0;
+  /// Link occupancy. FIFO (store-and-forward) counts latency + bytes /
+  /// bandwidth for every transfer; fair share counts only the wall time
+  /// during which bytes move (latency is a delay before a transfer joins).
   double link_busy_s = 0;
+  /// Bytes and count of cross-site file transfers, counted when a transfer
+  /// is requested. A file crosses to a site at most once, so both link
+  /// models report the same transfers for the same placement.
   double transferred_bytes = 0;
   std::int64_t transfers = 0;
   int tasks_on_cluster = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "core/error.hpp"
 #include "wfsim/montage.hpp"
 
@@ -212,6 +215,82 @@ TEST(Simulate, FairShareMontageReproducesShape) {
   const SimResult r_cloud = simulate(wf, fair, cloud);
   EXPECT_LT(r_cloud.total_gco2, r_local.total_gco2);
   EXPECT_LT(r_cloud.makespan_s, r_local.makespan_s);
+}
+
+// Every level of Montage-738 sends fraction `f` of its tasks to the cloud
+// (the job service's placement sweep).
+Placement uniform(const Workflow& wf, double f) {
+  return Placement::level_fractions(
+      wf, std::vector<double>(static_cast<std::size_t>(wf.num_levels()), f));
+}
+
+TEST(Simulate, FairShareMixedPlacementsFinishAndMoveTheSameFilesAsFifo) {
+  // Fair sharing used to decide completion by a residual-byte test: a
+  // transfer left with just over 1e-6 B rescheduled itself less than half
+  // an ulp ahead of a ~370 s clock, and the simulation never returned for
+  // any of these mixed placements. Which files cross the link depends on
+  // the placement alone, so both link models must count the same
+  // transfers; the byte totals differ only by summation order.
+  const Workflow wf = make_montage();
+  Platform fair = platform();
+  fair.link.sharing = LinkSharing::kFairShare;
+  for (const auto& [nodes, pstate] : {std::pair{12, 0}, std::pair{64, 6}})
+    for (double f : {0.1, 0.25, 0.5, 0.75, 0.9}) {
+      SCOPED_TRACE(::testing::Message()
+                   << nodes << " nodes @ p" << pstate << ", fraction " << f);
+      RunConfig cfg;
+      cfg.nodes_on = nodes;
+      cfg.pstate = pstate;
+      cfg.placement = uniform(wf, f);
+      const SimResult fifo = simulate(wf, platform(), cfg);
+      const SimResult shared = simulate(wf, fair, cfg);
+      EXPECT_GT(shared.transfers, 0);
+      EXPECT_EQ(shared.transfers, fifo.transfers);
+      EXPECT_NEAR(shared.transferred_bytes, fifo.transferred_bytes,
+                  1e-12 * fifo.transferred_bytes);
+      EXPECT_EQ(shared.tasks_on_cloud, fifo.tasks_on_cloud);
+      // The link moves bytes no faster than its bandwidth, and only while
+      // the workflow runs.
+      EXPECT_GE(shared.link_busy_s * (1 + 1e-12),
+                shared.transferred_bytes / fair.link.bytes_per_s);
+      EXPECT_LE(shared.link_busy_s, shared.makespan_s);
+    }
+}
+
+// FIFO results pinned bit for bit (hex of the IEEE-754 doubles), captured
+// before the link moved onto sim::FlowSet. Any change to event order,
+// summation order or the transfer duration formula shows here.
+TEST(Simulate, FifoMontageResultsArePinnedBitForBit) {
+  const Workflow wf = make_montage();
+  struct Pinned {
+    const char* name;
+    int nodes;
+    int pstate;
+    Placement placement;
+    std::uint64_t makespan_s, total_gco2, link_busy_s;
+  };
+  const Pinned cases[] = {
+      {"all local", 12, 0, Placement::all(wf, Site::kCluster),
+       0x40909a0000000000, 0x405f733b98c7e282, 0x0000000000000000},
+      {"levels 0+1 on cloud", 12, 0, Placement::level_fractions(wf, {1, 1}),
+       0x40870fb1bba92c76, 0x405457bc9e13d7bc, 0x4045cd2b18addbf1},
+      {"uniform 0.5", 64, 6, uniform(wf, 0.5),
+       0x407661115fe0d99d, 0x406c2b648bc25bec, 0x404763320573962e},
+  };
+  for (const Pinned& c : cases) {
+    SCOPED_TRACE(c.name);
+    RunConfig cfg;
+    cfg.nodes_on = c.nodes;
+    cfg.pstate = c.pstate;
+    cfg.placement = c.placement;
+    const SimResult r = simulate(wf, platform(), cfg);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.makespan_s), c.makespan_s)
+        << r.makespan_s;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.total_gco2), c.total_gco2)
+        << r.total_gco2;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.link_busy_s), c.link_busy_s)
+        << r.link_busy_s;
+  }
 }
 
 TEST(Simulate, VmCountLimitsCloudParallelism) {
