@@ -6,14 +6,18 @@
 // TCP at several halo depths; each run's net.rtt_ns / net.frame_bytes
 // histograms become one calibration point, and machine::from_measurements
 // fits the NIC/fabric edges (rtt = 2*latency + bytes/bandwidth, least
-// squares). Phase 2 replays held-out workloads — a ghost-cell sweep at an
-// unseen halo depth and dmr shuffle jobs — and compares the model's
-// predicted transfer time against the transport's measured RTT total. The
-// acceptance bar is 25% per workload (DESIGN.md). Phase 3 extrapolates:
+// squares). One sweep's fit is noisy on a loaded host, so the sweep runs
+// three times, each fit is printed with the spread, and the fit with the
+// median bandwidth is the one validated. Phase 2 replays held-out
+// workloads — a ghost-cell sweep at an unseen halo depth and dmr shuffle
+// jobs — and compares the model's predicted transfer time against the
+// transport's measured RTT total. The acceptance bar is 25% per workload
+// (DESIGN.md). Phase 3 extrapolates:
 // the calibrated machine predicts transfers and a contended 4-flow halo
 // round no measurement was taken for.
 //
 // Results land in out/BENCH_machine.json.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -197,11 +201,8 @@ int main() {
   const sandpile::Field wide = sandpile::center_pile(64, 1024, 30000);
   std::cout << "machine-model calibration — ghost-cell halo exchange over "
                "loopback TCP, 2 ranks, frame size swept via grid width x "
-               "halo depth\n\n";
+               "halo depth, 3 sweeps\n\n";
 
-  std::vector<std::vector<obs::MetricSample>> snapshots;
-  std::vector<machine::CalibrationPoint> points;
-  TextTable cal({"grid", "halo k", "frames", "mean bytes", "mean rtt us"});
   const struct {
     const sandpile::Field* field;
     const char* label;
@@ -210,22 +211,70 @@ int main() {
               {&initial, "128x128", 4}, {&initial, "128x128", 8},
               {&wide, "64x1024", 2},    {&wide, "64x1024", 4},
               {&wide, "64x1024", 8}};
-  for (const auto& r : runs) {
-    snapshots.push_back(
-        observed_run([&] { ghost_cells_tcp(*r.field, 2, r.halo); }));
-    points.push_back(machine::calibration_point(snapshots.back()));
-    const machine::CalibrationPoint& p = points.back();
-    cal.row({r.label, TextTable::num(static_cast<std::int64_t>(r.halo)),
+  struct Sweep {
+    std::vector<std::vector<obs::MetricSample>> snapshots;
+    std::vector<machine::CalibrationPoint> points;
+    machine::LinkFit fit;
+  };
+  constexpr int kSweeps = 3;
+  std::vector<Sweep> sweeps(kSweeps);
+  for (Sweep& sweep : sweeps) {
+    for (const auto& r : runs) {
+      sweep.snapshots.push_back(
+          observed_run([&] { ghost_cells_tcp(*r.field, 2, r.halo); }));
+      sweep.points.push_back(
+          machine::calibration_point(sweep.snapshots.back()));
+    }
+    sweep.fit = machine::fit_link(sweep.points);
+  }
+  // Validate against the median-bandwidth fit: one outlier sweep (a noisy
+  // neighbour during it) can no longer decide the verdict.
+  std::vector<int> order(kSweeps);
+  for (int i = 0; i < kSweeps; ++i) order[static_cast<std::size_t>(i)] = i;
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    return sweeps[static_cast<std::size_t>(a)].fit.link.bytes_per_s <
+           sweeps[static_cast<std::size_t>(b)].fit.link.bytes_per_s;
+  });
+  const int chosen = order[kSweeps / 2];
+  const Sweep& median = sweeps[static_cast<std::size_t>(chosen)];
+
+  TextTable cal({"grid", "halo k", "frames", "mean bytes", "mean rtt us"});
+  for (std::size_t i = 0; i < median.points.size(); ++i) {
+    const machine::CalibrationPoint& p = median.points[i];
+    cal.row({runs[i].label,
+             TextTable::num(static_cast<std::int64_t>(runs[i].halo)),
              TextTable::num(static_cast<std::int64_t>(p.frames)),
              TextTable::num(p.mean_frame_bytes, 0),
              TextTable::num(p.mean_rtt_s * 1e6, 1)});
   }
+  std::cout << "calibration points of the median sweep (sweep "
+            << chosen + 1 << " of " << kSweeps << "):\n";
   cal.print(std::cout);
 
-  const machine::LinkFit fit = machine::fit_link(points);
+  TextTable fits({"sweep", "MB/s", "latency us", "max residual us"});
+  for (int i = 0; i < kSweeps; ++i) {
+    const machine::LinkFit& f = sweeps[static_cast<std::size_t>(i)].fit;
+    fits.row({std::to_string(i + 1) + (i == chosen ? " (median)" : ""),
+              TextTable::num(f.link.bytes_per_s / 1e6, 1),
+              TextTable::num(f.link.latency_s * 1e6, 1),
+              TextTable::num(f.max_residual_s * 1e6, 1)});
+  }
+  std::cout << "\nper-sweep NIC fits:\n";
+  fits.print(std::cout);
+  const machine::LinkFit& lo = sweeps[static_cast<std::size_t>(order[0])].fit;
+  const machine::LinkFit& hi =
+      sweeps[static_cast<std::size_t>(order[kSweeps - 1])].fit;
+  std::cout << "bandwidth spread "
+            << TextTable::num(lo.link.bytes_per_s / 1e6, 1) << " .. "
+            << TextTable::num(hi.link.bytes_per_s / 1e6, 1)
+            << " MB/s (max/min "
+            << TextTable::num(hi.link.bytes_per_s / lo.link.bytes_per_s, 2)
+            << "x)\n";
+
+  const machine::LinkFit& fit = median.fit;
   const machine::Machine mach =
-      machine::from_measurements(loopback_machine(), snapshots);
-  std::cout << "\nfitted NIC: "
+      machine::from_measurements(loopback_machine(), median.snapshots);
+  std::cout << "\nfitted NIC (median sweep): "
             << TextTable::num(fit.link.bytes_per_s / 1e6, 1) << " MB/s, "
             << TextTable::num(fit.link.latency_s * 1e6, 1)
             << " us one-way latency (max residual "
@@ -325,8 +374,18 @@ int main() {
   fitted["max_residual_s"] = json::Value(fit.max_residual_s);
   fitted["points"] = json::Value(static_cast<std::int64_t>(fit.points));
   doc["fit"] = json::Value(std::move(fitted));
+  json::Array sweep_rows;
+  for (const Sweep& sweep : sweeps) {
+    json::Object row;
+    row["bytes_per_s"] = json::Value(sweep.fit.link.bytes_per_s);
+    row["latency_s"] = json::Value(sweep.fit.link.latency_s);
+    row["max_residual_s"] = json::Value(sweep.fit.max_residual_s);
+    sweep_rows.push_back(json::Value(std::move(row)));
+  }
+  doc["sweep_fits"] = json::Value(std::move(sweep_rows));
+  doc["chosen_sweep"] = json::Value(static_cast<std::int64_t>(chosen));
   json::Array cal_rows;
-  for (const machine::CalibrationPoint& p : points) {
+  for (const machine::CalibrationPoint& p : median.points) {
     json::Object row;
     row["frames"] = json::Value(static_cast<std::int64_t>(p.frames));
     row["mean_frame_bytes"] = json::Value(p.mean_frame_bytes);

@@ -67,7 +67,11 @@ void ring_exchange(mpp::Comm& comm) {
 /// ns including spawn + rendezvous (identical across the three series).
 double timed_cluster_run(const mpp::Telemetry& telemetry) {
   WallTimer timer;
-  mpp::run_spawned(kClusterRanks, {}, ring_exchange, {}, {}, telemetry);
+  mpp::run_world(kClusterRanks,
+                 {.transport = mpp::TransportKind::kTcp,
+                  .spawn = true,
+                  .telemetry = telemetry},
+                 ring_exchange);
   return static_cast<double>(timer.elapsed_ns());
 }
 

@@ -561,9 +561,7 @@ class Job {
         const auto& block = dest[static_cast<std::size_t>(d)];
         const std::uint64_t n = block.size();
         comm.send(d, tag_shuffle(e), &n, 1);
-        // Zero-copy lane: the concatenated block goes down as a span, so
-        // the tcp transport frames it with scatter-gather I/O instead of
-        // copying it into another intermediate vector.
+        // The concatenated block goes down as one byte-view send.
         if (n) comm.send(d, tag_shuffle(e), std::span<const std::byte>(block));
         rc.shuffle_bytes += n;
       }

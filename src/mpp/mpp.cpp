@@ -19,6 +19,7 @@
 #include "mpp/checkpoint.hpp"
 #include "mpp/pool.hpp"
 #include "mpp/telemetry.hpp"
+#include "net/inproc.hpp"
 #include "net/metrics_server.hpp"
 #include "net/process.hpp"
 #include "net/rendezvous.hpp"
@@ -127,41 +128,6 @@ void Comm::send_bytes(int dest, int tag, const void* data, std::size_t bytes) {
        {"dst", dest},
        {"tag", tag},
        {"bytes", static_cast<std::int64_t>(bytes)},
-       {"trace_id", static_cast<std::int64_t>(trace)},
-       {"span_id", static_cast<std::int64_t>(span)},
-       {"parent_span_id", static_cast<std::int64_t>(parent)}});
-}
-
-void Comm::send(int dest, int tag, std::span<const std::byte> payload) {
-  PEACHY_REQUIRE(dest >= 0 && dest < size(),
-                 "rank " << rank() << ": send to bad rank " << dest
-                         << " (world size " << size() << ", tag " << tag
-                         << ")");
-  if (!obs::enabled()) {
-    transport_->send(dest, tag, payload);
-    ++stats_.messages_sent;
-    stats_.bytes_sent += payload.size();
-    return;
-  }
-  namespace cluster = obs::cluster;
-  const std::uint64_t trace = cluster::trace_id();
-  const std::uint64_t span = cluster::next_span_id();
-  const std::uint64_t parent = cluster::current().span_id;
-  {
-    cluster::ScopedContext ctx({trace, span});
-    transport_->send(dest, tag, payload);
-  }
-  ++stats_.messages_sent;
-  stats_.bytes_sent += payload.size();
-  obs_messages().add(1);
-  obs_bytes().add(payload.size());
-  obs_msg_bytes().observe(static_cast<std::int64_t>(payload.size()));
-  obs::Tracer::global().instant(
-      "mpp.send", "mpp",
-      {{"src", rank()},
-       {"dst", dest},
-       {"tag", tag},
-       {"bytes", static_cast<std::int64_t>(payload.size())},
        {"trace_id", static_cast<std::int64_t>(trace)},
        {"span_id", static_cast<std::int64_t>(span)},
        {"parent_span_id", static_cast<std::int64_t>(parent)}});
@@ -298,33 +264,108 @@ void Comm::set_result(const void* data, std::size_t bytes) {
   result_.assign(p, p + bytes);
 }
 
-World::World(int ranks) : hub_(std::make_shared<net::InprocHub>(ranks)) {}
-
-Comm World::comm(int rank) {
-  PEACHY_REQUIRE(rank >= 0 && rank < hub_->size(),
-                 "no rank " << rank << " in a world of " << hub_->size());
-  return Comm(std::make_unique<net::InprocTransport>(hub_, rank));
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------
-// Threaded runner (inproc mailboxes or tcp sockets; ranks are threads).
+// One rank lifecycle and one outcome fold, shared by thread ranks and
+// worker processes. A rank's record is the net::WorkerReport a worker ships
+// over its rendezvous socket; thread ranks fill the same struct in place.
 
-struct ThreadRank {
-  CommStats stats;
-  net::TcpTransport::Stats net;
-  bool is_tcp = false;
-  std::exception_ptr error;
-  std::vector<std::byte> result;
-};
+std::string what_of(const std::exception_ptr& error) {
+  try {
+    std::rethrow_exception(error);
+  } catch (const std::exception& e) {
+    return e.what();
+  } catch (...) {
+    return "unknown exception";
+  }
+}
+
+/// Runs one rank's life on `comm`: run the body, ship telemetry finals
+/// (`ship`, worker processes only), say goodbye even when the body failed
+/// (so peers blocked on this rank see PeerDied instead of hanging), and
+/// collect the counters and rank 0's result. A body failure is recorded,
+/// not thrown; `error`, when given, keeps the original exception object.
+net::WorkerReport run_rank(Comm& comm, const std::string& ckpt_dir,
+                           const Telemetry* ship,
+                           const std::function<void(Comm&)>& body,
+                           std::exception_ptr* error) {
+  net::WorkerReport report;
+  report.reported = true;
+  std::unique_ptr<TelemetrySession> session;
+  if (ship)
+    session = std::make_unique<TelemetrySession>(comm.transport(),
+                                                 comm.size(), *ship);
+  comm.set_checkpoint_dir(ckpt_dir);
+  try {
+    body(comm);
+    report.ok = true;
+  } catch (...) {
+    report.error = what_of(std::current_exception());
+    if (error) *error = std::current_exception();
+  }
+  // Finals must ship before the goodbye; finish() never throws.
+  if (session) session->finish();
+  try {
+    comm.transport().shutdown();
+  } catch (...) {
+    // Peers that died mid-shutdown are already accounted for.
+  }
+  report.messages_sent = comm.stats().messages_sent;
+  report.bytes_sent = comm.stats().bytes_sent;
+  if (const auto* tcp = dynamic_cast<net::TcpTransport*>(&comm.transport())) {
+    const net::TcpTransport::Stats net = tcp->stats();
+    report.retransmits = net.retransmits;
+    report.window_stalls = net.window_stalls;
+    report.acks_sent = net.acks_sent;
+    report.frames_abandoned = net.frames_abandoned;
+    report.fault_dropped = net.fault.dropped;
+    report.fault_duplicated = net.fault.duplicated;
+    report.fault_delayed = net.fault.delayed;
+    report.fault_severed = net.fault.severed;
+  }
+  if (comm.rank() == 0) report.result = comm.take_result();
+  return report;
+}
+
+/// Sums every rank's counters into `out`, takes rank 0's result, and returns
+/// the root-cause rank of a failed world (-1 when every rank succeeded).
+/// One failing rank usually drags its peers down with PeerDied, so the root
+/// cause is the first failing rank whose failure is not a `peer rank …
+/// died` cascade, or the first failing rank when every failure is one.
+int fold_ranks(std::vector<net::WorkerReport>& reports, RunOutcome& out) {
+  const auto cascade = [](const net::WorkerReport& r) {
+    return r.error.find("peer rank") != std::string::npos;
+  };
+  int root = -1;
+  for (std::size_t r = 0; r < reports.size(); ++r) {
+    const net::WorkerReport& rep = reports[r];
+    if (!rep.ok &&
+        (root < 0 || (cascade(reports[static_cast<std::size_t>(root)]) &&
+                      !cascade(rep))))
+      root = static_cast<int>(r);
+    out.comm.messages_sent += rep.messages_sent;
+    out.comm.bytes_sent += rep.bytes_sent;
+    out.net.retransmits += rep.retransmits;
+    out.net.window_stalls += rep.window_stalls;
+    out.net.acks_sent += rep.acks_sent;
+    out.net.frames_abandoned += rep.frames_abandoned;
+    out.net.fault_dropped += rep.fault_dropped;
+    out.net.fault_duplicated += rep.fault_duplicated;
+    out.net.fault_delayed += rep.fault_delayed;
+    out.net.fault_severed += rep.fault_severed;
+  }
+  out.rank0_result = std::move(reports[0].result);
+  return root;
+}
+
+// ---------------------------------------------------------------------------
+// Threaded attempt (inproc mailboxes or tcp sockets; ranks are threads).
 
 RunOutcome run_threads(int ranks, const RunOptions& options,
+                       const net::TcpOptions& tcp,
                        const std::string& ckpt_dir,
                        const std::function<void(Comm&)>& body) {
-  PEACHY_REQUIRE(ranks >= 1, "world needs >= 1 rank, got " << ranks);
-  const bool tcp = options.transport == TransportKind::kTcp;
-
   // Threaded telemetry is the degenerate single-process case: every rank
   // already feeds the same registry/tracer, so there is nothing to ship —
   // serve the process registry live and write the trace after the join.
@@ -345,50 +386,30 @@ RunOutcome run_threads(int ranks, const RunOptions& options,
 
   std::shared_ptr<net::InprocHub> hub;
   std::unique_ptr<net::RendezvousServer> server;
-  if (tcp) {
+  if (options.transport == TransportKind::kTcp) {
     server = std::make_unique<net::RendezvousServer>(
-        ranks, /*collect_results=*/false, options.tcp.connect_timeout_ms);
+        ranks, /*collect_results=*/false, tcp.connect_timeout_ms);
     server->start();
   } else {
     hub = std::make_shared<net::InprocHub>(ranks);
   }
 
-  std::vector<ThreadRank> outcomes(static_cast<std::size_t>(ranks));
+  std::vector<net::WorkerReport> reports(static_cast<std::size_t>(ranks));
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(ranks));
   const auto rank_body = [&](int r) {
-    ThreadRank& mine = outcomes[static_cast<std::size_t>(r)];
+    const auto at = static_cast<std::size_t>(r);
     try {
-      std::unique_ptr<net::Transport> transport;
-      net::TcpTransport* tcp_ptr = nullptr;
-      if (tcp) {
-        auto t = std::make_unique<net::TcpTransport>(
-            r, ranks, server->port(), options.tcp);
-        tcp_ptr = t.get();
-        transport = std::move(t);
-      } else {
-        transport = std::make_unique<net::InprocTransport>(hub, r);
-      }
-      Comm comm(std::move(transport));
-      comm.set_checkpoint_dir(ckpt_dir);
-      try {
-        body(comm);
-      } catch (...) {
-        mine.error = std::current_exception();
-      }
-      // Say goodbye even when the body failed, so peers blocked on this
-      // rank observe a shutdown (or PeerDied) instead of hanging.
-      try {
-        comm.transport().shutdown();
-      } catch (...) {
-        // Peers that died mid-shutdown are already accounted for.
-      }
-      mine.stats = comm.stats();
-      if (tcp_ptr) {
-        mine.net = tcp_ptr->stats();
-        mine.is_tcp = true;
-      }
-      if (r == 0) mine.result = comm.take_result();
+      std::unique_ptr<net::Transport> link;
+      if (server)
+        link = std::make_unique<net::TcpTransport>(r, ranks, server->port(),
+                                                   tcp);
+      else
+        link = std::make_unique<net::InprocTransport>(hub, r);
+      Comm comm(std::move(link));
+      reports[at] = run_rank(comm, ckpt_dir, nullptr, body, &errors[at]);
     } catch (...) {
-      if (!mine.error) mine.error = std::current_exception();
+      errors[at] = std::current_exception();
+      reports[at].error = what_of(errors[at]);
     }
   };
   if (options.pool != nullptr) {
@@ -420,31 +441,15 @@ RunOutcome run_threads(int ranks, const RunOptions& options,
       server_error = std::current_exception();
     }
   }
-  for (const auto& o : outcomes)
-    if (o.error) std::rethrow_exception(o.error);
-  if (server_error) std::rethrow_exception(server_error);
-
   RunOutcome out;
-  for (auto& o : outcomes) {
-    out.comm.messages_sent += o.stats.messages_sent;
-    out.comm.bytes_sent += o.stats.bytes_sent;
-    if (o.is_tcp) {
-      out.net.retransmits += o.net.retransmits;
-      out.net.window_stalls += o.net.window_stalls;
-      out.net.acks_sent += o.net.acks_sent;
-      out.net.frames_abandoned += o.net.frames_abandoned;
-      out.net.fault_dropped += o.net.fault.dropped;
-      out.net.fault_duplicated += o.net.fault.duplicated;
-      out.net.fault_delayed += o.net.fault.delayed;
-      out.net.fault_severed += o.net.fault.severed;
-    }
-  }
-  out.rank0_result = std::move(outcomes[0].result);
+  const int root = fold_ranks(reports, out);
+  if (root >= 0) std::rethrow_exception(errors[static_cast<std::size_t>(root)]);
+  if (server_error) std::rethrow_exception(server_error);
   return out;
 }
 
 // ---------------------------------------------------------------------------
-// Spawned runner (ranks are processes; tcp is the only possible substrate).
+// Spawned attempt (ranks are processes; tcp is the only possible substrate).
 
 constexpr const char* kEnvRank = "PEACHY_MPP_WORKER_RANK";
 constexpr const char* kEnvWorld = "PEACHY_MPP_WORLD";
@@ -458,18 +463,18 @@ constexpr const char* kEnvMetricsPort = "PEACHY_MPP_METRICS_PORT";
 constexpr const char* kEnvPortFile = "PEACHY_MPP_PORT_FILE";
 constexpr const char* kEnvTraceId = "PEACHY_MPP_TRACE_ID";
 
-/// Runs one worker's life: join the mesh, run the body, report the outcome
-/// over the rendezvous connection, _exit. Never returns — a worker process
-/// must not fall back into the launcher's code path.
+/// Poll cadence of the spawned world's cancel/deadline watchdog.
+constexpr auto kWatchdogPoll = std::chrono::milliseconds(20);
+
+/// Runs one worker process: join the mesh, live the rank lifecycle, report
+/// the outcome over the rendezvous connection, _exit. Never returns — a
+/// worker process must not fall back into the launcher's code path.
 [[noreturn]] void worker_main(int rank, int world, int port,
                               const net::TcpOptions& tcp,
                               const std::string& ckpt_dir,
                               const std::string& flight_dir,
                               const Telemetry& telemetry,
                               const std::function<void(Comm&)>& body) {
-  net::WorkerReport report;
-  report.reported = true;
-  bool sent = false;
   net::TcpOptions worker_tcp = tcp;
   // This process is now a worker: route SIGTERM into the cooperative abort
   // latch (spawn_abort_requested) instead of the default instant death, so
@@ -509,58 +514,220 @@ constexpr const char* kEnvTraceId = "PEACHY_MPP_TRACE_ID";
     // merge has no offsets to correct with.
     if (worker_tcp.clock_sync_ms <= 0) worker_tcp.clock_sync_ms = 50;
   }
+  bool ok = false;
   try {
     auto transport =
         std::make_unique<net::TcpTransport>(rank, world, port, worker_tcp);
-    net::TcpTransport* raw = transport.get();
-    std::unique_ptr<TelemetrySession> session;
-    if (telemetry.active())
-      session = std::make_unique<TelemetrySession>(*raw, world, telemetry);
+    const net::TcpTransport& link = *transport;
     Comm comm(std::move(transport));
-    comm.set_checkpoint_dir(ckpt_dir);
-    try {
-      body(comm);
-      report.ok = true;
-    } catch (const std::exception& e) {
-      report.error = e.what();
-    } catch (...) {
-      report.error = "unknown exception";
-    }
-    // Finals must ship before the goodbye; finish() never throws.
-    if (session) session->finish();
-    try {
-      comm.transport().shutdown();
-    } catch (...) {
-      if (report.ok) {
-        report.ok = false;
-        report.error = "shutdown failed";
-      }
-    }
-    report.messages_sent = comm.stats().messages_sent;
-    report.bytes_sent = comm.stats().bytes_sent;
-    const net::TcpTransport::Stats net_stats = raw->stats();
-    report.retransmits = net_stats.retransmits;
-    report.window_stalls = net_stats.window_stalls;
-    report.acks_sent = net_stats.acks_sent;
-    report.frames_abandoned = net_stats.frames_abandoned;
-    report.fault_dropped = net_stats.fault.dropped;
-    report.fault_duplicated = net_stats.fault.duplicated;
-    report.fault_delayed = net_stats.fault.delayed;
-    report.fault_severed = net_stats.fault.severed;
-    if (rank == 0) report.result = comm.take_result();
-    net::rendezvous_report(raw->rendezvous_socket(), rank, report);
-    sent = true;
+    const net::WorkerReport report =
+        run_rank(comm, ckpt_dir, telemetry.active() ? &telemetry : nullptr,
+                 body, /*error=*/nullptr);
+    net::rendezvous_report(link.rendezvous_socket(), rank, report);
+    ok = report.ok;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "peachy mpp worker rank %d: %s\n", rank, e.what());
   }
-  ::_exit(sent && report.ok ? 0 : 1);
+  ::_exit(ok ? 0 : 1);
 }
 
-// Resolves the checkpoint directory a supervised run uses. A caller-named
-// directory is created and kept (that is what cross-invocation resume needs);
-// an unnamed one under supervision gets a private temp directory that dies
-// with the run. Unsupervised runs with no directory get "" — checkpointing
-// stays disabled and Comm::checkpoint throws.
+/// An exec'd worker re-entered main() and reached run_world: rebuild its
+/// identity and options from the PEACHY_MPP_* environment and run it.
+[[noreturn]] void exec_worker_main(const char* rank_env,
+                                   const RunOptions& options,
+                                   const std::function<void(Comm&)>& body) {
+  const char* world_env = std::getenv(kEnvWorld);
+  const char* port_env = std::getenv(kEnvPort);
+  PEACHY_REQUIRE(world_env && port_env,
+                 "worker environment incomplete: "
+                     << kEnvRank << " set without " << kEnvWorld << "/"
+                     << kEnvPort);
+  net::TcpOptions tcp = options.tcp;
+  if (const char* fault_env = std::getenv(kEnvFault))
+    tcp.fault = net::FaultPlan::decode(fault_env);
+  if (const char* window_env = std::getenv(kEnvWindow))
+    tcp.window_frames = std::max(1, std::atoi(window_env));
+  const char* ckpt_env = std::getenv(kEnvCkpt);
+  Telemetry telemetry;  // env wins over the call site's default
+  if (const char* ms_env = std::getenv(kEnvTelemetryMs)) {
+    telemetry.enabled = true;
+    telemetry.interval_ms = std::max(1, std::atoi(ms_env));
+    if (const char* trace_env = std::getenv(kEnvTrace))
+      telemetry.trace_path = trace_env;
+    if (const char* mport_env = std::getenv(kEnvMetricsPort))
+      telemetry.metrics_port = std::atoi(mport_env);
+    if (const char* pfile_env = std::getenv(kEnvPortFile))
+      telemetry.port_file = pfile_env;
+    if (const char* tid_env = std::getenv(kEnvTraceId))
+      telemetry.trace_id = std::strtoull(tid_env, nullptr, 10);
+  }
+  worker_main(std::atoi(rank_env), std::atoi(world_env), std::atoi(port_env),
+              tcp, ckpt_env ? ckpt_env : "", /*flight_dir=*/"", telemetry,
+              body);
+}
+
+/// State a spawned world keeps across restart attempts: one launcher, so
+/// respawned ranks replace (kill + reap) their previous incarnations slot
+/// by slot; the absolute deadline, so a job that keeps crashing and
+/// restarting still dies on time; and which guard tripped (1 = cancel hook,
+/// 2 = deadline).
+struct SpawnState {
+  net::ProcessLauncher launcher;
+  Clock::time_point deadline = Clock::time_point::max();
+  std::atomic<int> fired{0};
+};
+
+/// One attempt at a spawned world: spawn every rank (through the launcher's
+/// respawn slots, so a later attempt replaces earlier incarnations), serve
+/// the rendezvous, reap, and either assemble the outcome or throw the
+/// root-cause error. With a cancel hook or deadline a watchdog thread
+/// (started only after the forks, to keep the fork itself single-threaded
+/// here) polls them and escalates SIGTERM -> grace -> SIGKILL.
+RunOutcome spawn_attempt(int ranks, const RunOptions& options,
+                         const net::TcpOptions& tcp,
+                         const std::string& ckpt_dir,
+                         const Telemetry& telemetry,
+                         const std::function<void(Comm&)>& body,
+                         SpawnState& state) {
+  const SpawnControl& control = options.spawn_control;
+  net::ProcessLauncher& launcher = state.launcher;
+  // The serve/wait budget has to cover mesh setup plus the whole body; a
+  // configured deadline extends it so the watchdog, not the rendezvous
+  // timeout, is what ends an over-deadline run.
+  int budget_ms = tcp.connect_timeout_ms + tcp.recv_timeout_ms;
+  if (control.deadline_ms > 0)
+    budget_ms = std::max(
+        budget_ms, control.deadline_ms + control.term_grace_ms + 2000);
+
+  net::RendezvousServer server(ranks, /*collect_results=*/true, budget_ms);
+  launcher.set_child_limits(control.limits);
+  if (options.worker_argv.empty()) {
+    launcher.fork_workers(ranks, [&](int rank) -> int {
+      server.close_listener_in_child();
+      worker_main(rank, ranks, server.port(), tcp, ckpt_dir,
+                  control.flight_dir, telemetry, body);
+    });
+  } else {
+    const int port = server.port();
+    launcher.exec_workers(
+        ranks, options.worker_argv,
+        [&](int rank) -> std::vector<std::pair<std::string, std::string>> {
+          std::vector<std::pair<std::string, std::string>> env = {
+              {kEnvRank, std::to_string(rank)},
+              {kEnvWorld, std::to_string(ranks)},
+              {kEnvPort, std::to_string(port)},
+              {kEnvFault, tcp.fault.encode()},
+              {kEnvWindow, std::to_string(tcp.window_frames)}};
+          if (!ckpt_dir.empty()) env.emplace_back(kEnvCkpt, ckpt_dir);
+          if (!control.flight_dir.empty())
+            env.emplace_back("PEACHY_FLIGHT_DIR", control.flight_dir);
+          if (telemetry.active()) {
+            env.emplace_back(kEnvTelemetryMs,
+                             std::to_string(telemetry.interval_ms));
+            env.emplace_back(kEnvTraceId,
+                             std::to_string(telemetry.trace_id));
+            if (!telemetry.trace_path.empty())
+              env.emplace_back(kEnvTrace, telemetry.trace_path);
+            if (telemetry.metrics_port >= 0)
+              env.emplace_back(kEnvMetricsPort,
+                               std::to_string(telemetry.metrics_port));
+            if (!telemetry.port_file.empty())
+              env.emplace_back(kEnvPortFile, telemetry.port_file);
+          }
+          return env;
+        });
+  }
+
+  // The watchdog starts strictly after the forks above, so the children
+  // never inherit a half-born thread. It only touches the launcher through
+  // signal-sending entry points, which are mutex-guarded against the
+  // wait_all reap below.
+  std::atomic<bool> watchdog_stop{false};
+  std::thread watchdog;
+  if (control.should_abort || control.deadline_ms > 0) {
+    watchdog = std::thread([&] {
+      while (!watchdog_stop.load()) {
+        int why = 0;
+        if (control.should_abort && control.should_abort())
+          why = 1;
+        else if (control.deadline_ms > 0 && Clock::now() >= state.deadline)
+          why = 2;
+        if (why != 0) {
+          state.fired.store(why);
+          launcher.terminate_all(SIGTERM);
+          const auto kill_at =
+              Clock::now() + std::chrono::milliseconds(control.term_grace_ms);
+          while (!watchdog_stop.load() && Clock::now() < kill_at)
+            std::this_thread::sleep_for(kWatchdogPoll);
+          if (!watchdog_stop.load()) launcher.kill_all();
+          return;
+        }
+        std::this_thread::sleep_for(kWatchdogPoll);
+      }
+    });
+  }
+
+  // Serve inline, then reap every worker (deadline-bounded, never hangs).
+  std::exception_ptr serve_error;
+  try {
+    server.serve();
+  } catch (...) {
+    serve_error = std::current_exception();
+  }
+  const std::vector<int> codes = launcher.wait_all(budget_ms);
+  watchdog_stop.store(true);
+  if (watchdog.joinable()) watchdog.join();
+
+  std::vector<net::WorkerReport>& reports = server.reports();
+  for (int r = 0; r < ranks; ++r) {
+    net::WorkerReport& rep = reports[static_cast<std::size_t>(r)];
+    if (rep.reported) continue;
+    const int code = codes[static_cast<std::size_t>(r)];
+    rep.error = "died before reporting (exit code " + std::to_string(code) +
+                ": " + net::describe_exit_code(code) + ")";
+  }
+  RunOutcome out;
+  const int root = fold_ranks(reports, out);
+  // Cumulative max across attempts: the launcher is shared by the whole
+  // supervise loop and folds every reaped incarnation into its peak.
+  out.peak_rss_bytes = launcher.peak_rss_bytes();
+  std::string root_error;
+  SpawnFailure root_kind = SpawnFailure::kNonzero;
+  if (root >= 0) {
+    const net::WorkerReport& rep = reports[static_cast<std::size_t>(root)];
+    root_error = "mpp worker rank " + std::to_string(root) +
+                 (rep.reported ? " failed: " : " ") + rep.error;
+    if (!rep.reported &&
+        net::classify_exit_code(codes[static_cast<std::size_t>(root)]) ==
+            net::ExitClass::kSignaled)
+      root_kind = SpawnFailure::kCrash;
+  }
+  // A tripped guard outranks the per-worker errors below it: a deadline or
+  // forced cancel explains every death it caused, and both are terminal
+  // (supervise must not spend restart budget re-running stopped work).
+  if (state.fired.load() == 2)
+    throw SpawnError(
+        SpawnFailure::kTimeout,
+        "spawned world exceeded its " + std::to_string(control.deadline_ms) +
+            " ms wall-clock deadline (SIGTERM, then SIGKILL after " +
+            std::to_string(control.term_grace_ms) + " ms grace)");
+  if (state.fired.load() == 1 && (root >= 0 || serve_error))
+    throw SpawnError(SpawnFailure::kCancelled,
+                     "spawned world cancelled; workers did not exit within "
+                     "the " +
+                         std::to_string(control.term_grace_ms) +
+                         " ms SIGTERM grace" +
+                         (root_error.empty() ? "" : " (" + root_error + ")"));
+  if (root >= 0) throw SpawnError(root_kind, root_error);
+  if (serve_error) std::rethrow_exception(serve_error);
+  return out;
+}
+
+/// Resolves the checkpoint directory a supervised run uses. A caller-named
+/// directory is created and kept (that is what cross-invocation resume
+/// needs); an unnamed one under supervision gets a private temp directory
+/// that dies with the run. Unsupervised runs with no directory get "" —
+/// checkpointing stays disabled and Comm::checkpoint throws.
 class CkptDirGuard {
  public:
   explicit CkptDirGuard(const Resilience& resilience)
@@ -604,208 +771,50 @@ class CkptDirGuard {
   bool remove_on_success_ = false;
 };
 
-/// One attempt at a spawned world: spawn every rank (through the launcher's
-/// respawn slots, so a later attempt replaces earlier incarnations), serve
-/// the rendezvous, reap, and either assemble the outcome or throw the
-/// root-cause error. With an active SpawnControl a watchdog thread (started
-/// only after the forks, to keep the fork itself single-threaded here)
-/// polls the cancel hook and the wall-clock deadline and escalates
-/// SIGTERM -> grace -> SIGKILL; `fired` records which guard tripped.
-RunOutcome spawn_attempt(int ranks,
-                         const std::vector<std::string>& worker_argv,
-                         const std::function<void(Comm&)>& body,
-                         const net::TcpOptions& tcp,
-                         const std::string& ckpt_dir,
-                         const Telemetry& telemetry,
-                         net::ProcessLauncher& launcher,
-                         const SpawnControl& control,
-                         Clock::time_point deadline_tp,
-                         std::atomic<int>& fired) {
-  // The serve/wait budget has to cover mesh setup plus the whole body; a
-  // configured deadline extends it so the watchdog, not the rendezvous
-  // timeout, is what ends an over-deadline run.
-  int budget_ms = tcp.connect_timeout_ms + tcp.recv_timeout_ms;
-  if (control.deadline_ms > 0)
-    budget_ms = std::max(
-        budget_ms, control.deadline_ms + control.term_grace_ms + 2000);
+}  // namespace
 
-  net::RendezvousServer server(ranks, /*collect_results=*/true, budget_ms);
-  launcher.set_child_limits(control.limits);
-  if (worker_argv.empty()) {
-    launcher.fork_workers(ranks, [&](int rank) -> int {
-      server.close_listener_in_child();
-      worker_main(rank, ranks, server.port(), tcp, ckpt_dir,
-                  control.flight_dir, telemetry, body);
-    });
-  } else {
-    const int port = server.port();
-    launcher.exec_workers(
-        ranks, worker_argv,
-        [&](int rank) -> std::vector<std::pair<std::string, std::string>> {
-          std::vector<std::pair<std::string, std::string>> env = {
-              {kEnvRank, std::to_string(rank)},
-              {kEnvWorld, std::to_string(ranks)},
-              {kEnvPort, std::to_string(port)},
-              {kEnvFault, tcp.fault.encode()},
-              {kEnvWindow, std::to_string(tcp.window_frames)}};
-          if (!ckpt_dir.empty()) env.emplace_back(kEnvCkpt, ckpt_dir);
-          if (!control.flight_dir.empty())
-            env.emplace_back("PEACHY_FLIGHT_DIR", control.flight_dir);
-          if (telemetry.active()) {
-            env.emplace_back(kEnvTelemetryMs,
-                             std::to_string(telemetry.interval_ms));
-            env.emplace_back(kEnvTraceId,
-                             std::to_string(telemetry.trace_id));
-            if (!telemetry.trace_path.empty())
-              env.emplace_back(kEnvTrace, telemetry.trace_path);
-            if (telemetry.metrics_port >= 0)
-              env.emplace_back(kEnvMetricsPort,
-                               std::to_string(telemetry.metrics_port));
-            if (!telemetry.port_file.empty())
-              env.emplace_back(kEnvPortFile, telemetry.port_file);
-          }
-          return env;
-        });
-  }
+RunOutcome run_world(int ranks, const RunOptions& options,
+                     const std::function<void(Comm&)>& body) {
+  // An exec'd worker re-enters main() and reaches this same call site; the
+  // environment routes it into the worker path instead of launching again.
+  if (options.spawn)
+    if (const char* rank_env = std::getenv(kEnvRank))
+      exec_worker_main(rank_env, options, body);
 
-  // The watchdog starts strictly after the forks above, so the children
-  // never inherit a half-born thread. It only touches the launcher through
-  // signal-sending entry points, which are mutex-guarded against the
-  // wait_all reap below.
-  std::atomic<bool> watchdog_stop{false};
-  std::thread watchdog;
-  const bool guarded = control.should_abort || control.deadline_ms > 0;
-  if (guarded) {
-    watchdog = std::thread([&] {
-      const auto poll = std::chrono::milliseconds(std::max(1, control.poll_ms));
-      while (!watchdog_stop.load()) {
-        int why = 0;
-        if (control.should_abort && control.should_abort())
-          why = 1;
-        else if (control.deadline_ms > 0 && Clock::now() >= deadline_tp)
-          why = 2;
-        if (why != 0) {
-          fired.store(why);
-          launcher.terminate_all(SIGTERM);
-          const auto kill_at =
-              Clock::now() + std::chrono::milliseconds(control.term_grace_ms);
-          while (!watchdog_stop.load() && Clock::now() < kill_at)
-            std::this_thread::sleep_for(poll);
-          if (!watchdog_stop.load()) launcher.kill_all();
-          return;
-        }
-        std::this_thread::sleep_for(poll);
-      }
-    });
-  }
+  PEACHY_REQUIRE(ranks >= 1, "world needs >= 1 rank, got " << ranks);
+  CkptDirGuard ckpt(options.resilience);
+  // Mint the cluster trace id once in the launcher so every rank (and every
+  // restart attempt) lands in the same trace.
+  Telemetry telemetry = options.telemetry;
+  if (telemetry.active() && telemetry.trace_id == 0)
+    telemetry.trace_id = obs::cluster::trace_id();
+  SpawnState spawn;
+  if (options.spawn_control.deadline_ms > 0)
+    spawn.deadline = Clock::now() + std::chrono::milliseconds(
+                                        options.spawn_control.deadline_ms);
 
-  // Serve inline, then reap every worker (deadline-bounded, never hangs).
-  std::exception_ptr serve_error;
-  try {
-    server.serve();
-  } catch (...) {
-    serve_error = std::current_exception();
-  }
-  const std::vector<int> codes = launcher.wait_all(budget_ms);
-  watchdog_stop.store(true);
-  if (watchdog.joinable()) watchdog.join();
-
-  // One failing rank usually drags its peers down with PeerDied; report
-  // the root cause (a silent death or a non-peer-death failure), not the
-  // first cascade victim.
-  RunOutcome out;
-  std::string root_error, any_error;
-  net::ExitClass root_class = net::ExitClass::kNonzero;
-  for (int r = 0; r < ranks; ++r) {
-    const net::WorkerReport& rep =
-        server.reports()[static_cast<std::size_t>(r)];
-    if (!rep.reported) {
-      const int code = codes[static_cast<std::size_t>(r)];
-      const std::string msg = "mpp worker rank " + std::to_string(r) +
-                              " died before reporting (exit code " +
-                              std::to_string(code) + ": " +
-                              net::describe_exit_code(code) + ")";
-      if (root_error.empty()) {
-        root_error = msg;
-        root_class = net::classify_exit_code(code);
-      }
-      if (any_error.empty()) any_error = msg;
-      continue;
-    }
-    if (!rep.ok) {
-      const std::string msg =
-          "mpp worker rank " + std::to_string(r) + " failed: " + rep.error;
-      if (any_error.empty()) any_error = msg;
-      if (root_error.empty() &&
-          rep.error.find("peer rank") == std::string::npos)
-        root_error = msg;
-    }
-    out.comm.messages_sent += rep.messages_sent;
-    out.comm.bytes_sent += rep.bytes_sent;
-    out.net.retransmits += rep.retransmits;
-    out.net.window_stalls += rep.window_stalls;
-    out.net.acks_sent += rep.acks_sent;
-    out.net.frames_abandoned += rep.frames_abandoned;
-    out.net.fault_dropped += rep.fault_dropped;
-    out.net.fault_duplicated += rep.fault_duplicated;
-    out.net.fault_delayed += rep.fault_delayed;
-    out.net.fault_severed += rep.fault_severed;
-    if (r == 0) out.rank0_result = rep.result;
-  }
-  // Cumulative max across attempts: the launcher is shared by the whole
-  // supervise loop and folds every reaped incarnation into its peak.
-  out.peak_rss_bytes = launcher.peak_rss_bytes();
-  // A tripped guard outranks the per-worker errors below it: a deadline or
-  // forced cancel explains every death it caused, and both are terminal
-  // (supervise must not spend restart budget re-running stopped work).
-  const bool attempt_failed =
-      !root_error.empty() || !any_error.empty() || serve_error;
-  if (fired.load() == 2)
-    throw SpawnError(
-        SpawnFailure::kTimeout,
-        "spawned world exceeded its " + std::to_string(control.deadline_ms) +
-            " ms wall-clock deadline (SIGTERM, then SIGKILL after " +
-            std::to_string(control.term_grace_ms) + " ms grace)");
-  if (fired.load() == 1 && attempt_failed)
-    throw SpawnError(SpawnFailure::kCancelled,
-                     "spawned world cancelled; workers did not exit within "
-                     "the " +
-                         std::to_string(control.term_grace_ms) +
-                         " ms SIGTERM grace" +
-                         (root_error.empty() ? "" : " (" + root_error + ")"));
-  if (!root_error.empty())
-    throw SpawnError(root_class == net::ExitClass::kSignaled
-                         ? SpawnFailure::kCrash
-                         : SpawnFailure::kNonzero,
-                     root_error);
-  if (!any_error.empty()) throw Error(any_error);
-  if (serve_error) std::rethrow_exception(serve_error);
-  return out;
-}
-
-/// Shared supervision loop: run one attempt, and on a runtime Error either
-/// give up (budget exhausted) or disarm the injected faults and go again —
-/// the next attempt restores from whatever checkpoint the failed one
-/// committed. `attempt_fn(tcp)` runs one full world attempt.
-RunOutcome supervise(const Resilience& resilience, const net::TcpOptions& tcp,
-                     const std::function<RunOutcome(const net::TcpOptions&)>&
-                         attempt_fn) {
-  net::TcpOptions attempt_tcp = tcp;
-  int restarts = 0;
+  // Supervision: run one attempt, and on a runtime Error either give up
+  // (budget exhausted) or clear the injected faults and go again — the next
+  // attempt restores from whatever checkpoint the failed one committed.
+  net::TcpOptions tcp = options.tcp;
   for (int attempt = 0;; ++attempt) {
     try {
-      RunOutcome out = attempt_fn(attempt_tcp);
-      out.restarts = restarts;
+      RunOutcome out =
+          options.spawn
+              ? spawn_attempt(ranks, options, tcp, ckpt.dir(), telemetry,
+                              body, spawn)
+              : run_threads(ranks, options, tcp, ckpt.dir(), body);
+      out.restarts = attempt;
+      ckpt.on_success();
       return out;
     } catch (const Error& e) {
       // Deliberate stops (deadline, forced cancel) are terminal: restarting
       // would re-run work the caller just told us to kill.
-      if (const auto* spawn = dynamic_cast<const SpawnError*>(&e);
-          spawn != nullptr && (spawn->kind() == SpawnFailure::kTimeout ||
-                               spawn->kind() == SpawnFailure::kCancelled))
+      if (const auto* stop = dynamic_cast<const SpawnError*>(&e);
+          stop != nullptr && (stop->kind() == SpawnFailure::kTimeout ||
+                              stop->kind() == SpawnFailure::kCancelled))
         throw;
-      if (attempt >= resilience.max_restarts) throw;
-      ++restarts;
+      if (attempt >= options.resilience.max_restarts) throw;
       if (obs::enabled()) {
         obs_restarts().add(1);
         obs::Tracer::global().instant("mpp.restart", "mpp",
@@ -813,103 +822,10 @@ RunOutcome supervise(const Resilience& resilience, const net::TcpOptions& tcp,
       }
       std::fprintf(stderr,
                    "peachy mpp: world failed (%s); restart %d of %d\n",
-                   e.what(), restarts, resilience.max_restarts);
-      if (resilience.disarm_faults_on_restart)
-        attempt_tcp.fault = net::FaultPlan{};
+                   e.what(), attempt + 1, options.resilience.max_restarts);
+      tcp.fault = net::FaultPlan{};
     }
   }
-}
-
-}  // namespace
-
-RunOutcome run_spawned(int ranks, const std::vector<std::string>& worker_argv,
-                       const std::function<void(Comm&)>& body,
-                       const net::TcpOptions& tcp,
-                       const Resilience& resilience,
-                       const Telemetry& telemetry,
-                       const SpawnControl& control) {
-  // An exec'd worker re-enters main() and reaches this same call site; the
-  // environment routes it into the worker path instead of launching again.
-  if (const char* rank_env = std::getenv(kEnvRank)) {
-    const char* world_env = std::getenv(kEnvWorld);
-    const char* port_env = std::getenv(kEnvPort);
-    PEACHY_REQUIRE(world_env && port_env,
-                   "worker environment incomplete: "
-                       << kEnvRank << " set without " << kEnvWorld << "/"
-                       << kEnvPort);
-    net::TcpOptions worker_tcp = tcp;
-    if (const char* fault_env = std::getenv(kEnvFault))
-      worker_tcp.fault = net::FaultPlan::decode(fault_env);
-    if (const char* window_env = std::getenv(kEnvWindow))
-      worker_tcp.window_frames = std::max(1, std::atoi(window_env));
-    const char* ckpt_env = std::getenv(kEnvCkpt);
-    Telemetry worker_telemetry;  // env wins over the call site's default
-    if (const char* ms_env = std::getenv(kEnvTelemetryMs)) {
-      worker_telemetry.enabled = true;
-      worker_telemetry.interval_ms = std::max(1, std::atoi(ms_env));
-      if (const char* trace_env = std::getenv(kEnvTrace))
-        worker_telemetry.trace_path = trace_env;
-      if (const char* mport_env = std::getenv(kEnvMetricsPort))
-        worker_telemetry.metrics_port = std::atoi(mport_env);
-      if (const char* pfile_env = std::getenv(kEnvPortFile))
-        worker_telemetry.port_file = pfile_env;
-      if (const char* tid_env = std::getenv(kEnvTraceId))
-        worker_telemetry.trace_id = std::strtoull(tid_env, nullptr, 10);
-    }
-    worker_main(std::atoi(rank_env), std::atoi(world_env),
-                std::atoi(port_env), worker_tcp,
-                ckpt_env ? ckpt_env : "", /*flight_dir=*/"",
-                worker_telemetry, body);
-  }
-
-  PEACHY_REQUIRE(ranks >= 1, "world needs >= 1 rank, got " << ranks);
-  CkptDirGuard ckpt(resilience);
-  // Mint the cluster trace id once in the launcher so every rank (and every
-  // restart attempt) lands in the same trace.
-  Telemetry run_telemetry = telemetry;
-  if (run_telemetry.active() && run_telemetry.trace_id == 0)
-    run_telemetry.trace_id = obs::cluster::trace_id();
-  // The deadline is absolute and spans restart attempts — a job that keeps
-  // crashing and restarting still dies on time.
-  const auto deadline_tp =
-      control.deadline_ms > 0
-          ? std::chrono::steady_clock::now() +
-                std::chrono::milliseconds(control.deadline_ms)
-          : std::chrono::steady_clock::time_point::max();
-  std::atomic<int> fired{0};
-  // One launcher across attempts: respawned ranks replace (kill + reap)
-  // their previous incarnations slot by slot.
-  net::ProcessLauncher launcher;
-  RunOutcome out =
-      supervise(resilience, tcp, [&](const net::TcpOptions& attempt_tcp) {
-        return spawn_attempt(ranks, worker_argv, body, attempt_tcp,
-                             ckpt.dir(), run_telemetry, launcher, control,
-                             deadline_tp, fired);
-      });
-  ckpt.on_success();
-  return out;
-}
-
-RunOutcome run_world(int ranks, const RunOptions& options,
-                     const std::function<void(Comm&)>& body) {
-  if (options.spawn)
-    return run_spawned(ranks, options.worker_argv, body, options.tcp,
-                       options.resilience, options.telemetry,
-                       options.spawn_control);
-  CkptDirGuard ckpt(options.resilience);
-  RunOutcome out =
-      supervise(options.resilience, options.tcp,
-                [&](const net::TcpOptions& attempt_tcp) {
-                  RunOptions attempt = options;
-                  attempt.tcp = attempt_tcp;
-                  return run_threads(ranks, attempt, ckpt.dir(), body);
-                });
-  ckpt.on_success();
-  return out;
-}
-
-CommStats run(int ranks, const std::function<void(Comm&)>& body) {
-  return run_world(ranks, RunOptions{}, body).comm;
 }
 
 }  // namespace peachy::mpp

@@ -5,18 +5,25 @@
 // cluster with MPI and the Ghost Cell Pattern [Kjolstad & Snir 2010]. mpp
 // substitutes for MPI with the same semantics (blocking point-to-point with
 // source+tag matching, FIFO per (source, tag) channel; collectives built on
-// top of point-to-point so they behave identically everywhere) over one of
-// three substrates:
+// top of point-to-point so they behave identically everywhere).
+//
+// One launcher, mpp::run_world(ranks, RunOptions, body), runs one SPMD body
+// over one of three substrates:
 //
 //  * inproc — ranks are threads, messages are memcpys into mailboxes.
-//    Fast, cost-free communication; the original teaching default.
+//    Fast, cost-free communication; the default.
 //  * tcp    — ranks are threads but every message crosses a real loopback
 //    socket through peachy_net's framed, CRC-checked, acked wire protocol
 //    (net/tcp.hpp). Communication has genuine latency and the fault
 //    injector can drop/delay/duplicate frames or sever links.
-//  * spawned — mpp::run_spawned forks real worker *processes* wired up by
+//  * spawned — RunOptions::spawn forks real worker *processes* wired up by
 //    a rendezvous server; the ghost-cell trade-off runs against separate
 //    address spaces, like the MPI original.
+//
+// Thread ranks and worker processes live the same life (build the Comm,
+// run the body, say goodbye, report counters and rank 0's result), and a
+// failed world names the same root cause on every substrate: the first
+// rank whose failure is not a `peer rank … died` cascade.
 //
 // Message and byte counters make communication volume measurable, which is
 // what the ghost-cell trade-off experiment (bench_ghost_cells) reports.
@@ -34,7 +41,6 @@
 
 #include "core/error.hpp"
 #include "mpp/telemetry.hpp"
-#include "net/inproc.hpp"
 #include "net/process.hpp"
 #include "net/tcp.hpp"
 #include "net/transport.hpp"
@@ -70,22 +76,21 @@ struct NetStats {
   std::uint64_t fault_severed = 0;
 };
 
-/// Recovery policy for a supervised world (mpp::run_world / run_spawned).
-/// With max_restarts > 0 a failed attempt (PeerDied, a dead worker process,
-/// a worker error) is not propagated: every rank is respawned and the body
+/// Recovery policy for a supervised world (mpp::run_world). With
+/// max_restarts > 0 a failed attempt (PeerDied, a dead worker process, a
+/// worker error) is not propagated: every rank is respawned and the body
 /// re-runs, restoring from the last committed checkpoint via
-/// Comm::restore(). The restart budget bounds how long a persistent fault
-/// can spin before the original error finally surfaces.
+/// Comm::restore(). A restart clears the tcp fault plan (transient-fault
+/// model: the injector proved the failure path; replaying the same
+/// deterministic faults would exhaust the budget without finishing). The
+/// restart budget bounds how long a persistent fault can spin before the
+/// original error finally surfaces.
 struct Resilience {
   int max_restarts = 0;        ///< 0 = fail fast (the pre-recovery behavior)
   /// Where checkpoints live. Empty + supervised: a private temp directory
   /// is created and removed with the run. Non-empty: created if missing,
   /// kept afterwards — which is what lets a *new invocation* resume.
   std::string checkpoint_dir;
-  /// Clear the fault plan on restart (transient-fault model: the injector
-  /// proved the failure path; replaying the same deterministic faults
-  /// forever would exhaust the budget without ever finishing).
-  bool disarm_faults_on_restart = true;
   /// Remove the *named* checkpoint_dir after a successful run. Off by
   /// default (a kept directory is what cross-invocation resume reads), but
   /// long-lived callers — peachyd retiring thousands of jobs — flip it so
@@ -104,18 +109,12 @@ struct SpawnControl {
   net::ChildLimits limits;  ///< RLIMIT_AS / RLIMIT_CPU applied per child
   int deadline_ms = 0;      ///< whole-run wall clock budget; 0 = unlimited
   int term_grace_ms = 2000; ///< SIGTERM -> SIGKILL escalation window
-  int poll_ms = 20;         ///< watchdog poll cadence
   /// Polled by the launcher-side watchdog (never inside a worker); true
   /// triggers the SIGTERM escalation. Must be safe to call from a thread.
   std::function<bool()> should_abort;
   /// Flight-recorder dump directory for the workers (their crash handler
   /// writes post-mortems here). Empty = inherit $PEACHY_FLIGHT_DIR.
   std::string flight_dir;
-
-  bool active() const {
-    return limits.any() || deadline_ms > 0 ||
-           static_cast<bool>(should_abort) || !flight_dir.empty();
-  }
 };
 
 /// Why a spawned world attempt was torn down, for callers that must triage
@@ -128,7 +127,7 @@ enum class SpawnFailure {
                ///< killed (a cooperative cancel returns normally instead)
 };
 
-/// The error run_spawned throws when the failure has a triaged cause.
+/// The error a spawned world throws when it fails; the kind triages why.
 /// kTimeout and kCancelled are terminal: the supervisor does not burn
 /// restart budget re-running work that was deliberately stopped.
 class SpawnError : public Error {
@@ -154,10 +153,14 @@ bool spawn_abort_requested();
 /// How to run a world (mpp::run_world).
 struct RunOptions {
   TransportKind transport = TransportKind::kInproc;
-  /// Fork real worker processes instead of threads (tcp only). With a
-  /// non-empty `worker_argv`, workers are fork+exec'd from that command
-  /// line and find their way back via PEACHY_MPP_* environment variables;
-  /// with an empty one they are plain fork() children.
+  /// Fork real worker processes instead of threads (always over tcp,
+  /// whatever `transport` says). With an empty `worker_argv` the workers
+  /// are plain fork() children running the body directly. With a non-empty
+  /// one each worker is fork+exec'd from that command line, runs main()
+  /// until it reaches this same run_world call site, and is routed into
+  /// the worker path by PEACHY_MPP_* environment variables (so pass e.g.
+  /// {"/proc/self/exe", "--gtest_filter=<this test>"} to re-enter a test
+  /// body).
   bool spawn = false;
   std::vector<std::string> worker_argv;
   /// Socket timeouts, retry budget, and fault plan for the tcp substrate.
@@ -197,7 +200,7 @@ struct RunOutcome {
 };
 
 /// A rank's endpoint into a world: an MPI communicator handle bound to one
-/// rank. Move-only; lives on the rank's stack inside mpp::run*.
+/// rank. Move-only; lives on the rank's stack inside mpp::run_world.
 class Comm {
  public:
   explicit Comm(std::unique_ptr<net::Transport> transport)
@@ -214,11 +217,12 @@ class Comm {
     send_bytes(dest, tag, data, count * sizeof(T));
   }
 
-  /// Zero-copy byte-view send: the payload reaches the transport as a span
-  /// (the tcp backend frames it with scatter-gather I/O instead of staging
-  /// it through an intermediate vector). Same blocking semantics as the
-  /// typed send.
-  void send(int dest, int tag, std::span<const std::byte> payload);
+  /// Byte-view send, for callers that hold a contiguous byte range (dmr
+  /// shuffle blocks, sandpile halo rows): the same path and blocking
+  /// semantics as the typed send.
+  void send(int dest, int tag, std::span<const std::byte> payload) {
+    send_bytes(dest, tag, payload.data(), payload.size());
+  }
 
   /// Blocking typed receive; the message size must be exactly `count`
   /// elements (mismatch throws, like an MPI truncation error).
@@ -346,8 +350,8 @@ class Comm {
   bool checkpointing() const { return !ckpt_dir_.empty(); }
   void set_checkpoint_dir(std::string dir) { ckpt_dir_ = std::move(dir); }
 
-  /// Stashes bytes that run_world()/run_spawned() hand back to the
-  /// launcher as RunOutcome::rank0_result. Only rank 0's stash is
+  /// Stashes bytes that run_world() hands back to the launcher as
+  /// RunOutcome::rank0_result. Only rank 0's stash is
   /// collected — it is how a spawned world returns its answer across the
   /// process boundary.
   void set_result(const void* data, std::size_t bytes);
@@ -381,49 +385,17 @@ class Comm {
   int epoch_ = 0;
 };
 
-/// SPMD launcher: runs `body(comm)` on `ranks` threads over the in-process
-/// transport and joins them. Any exception thrown by a rank is rethrown
-/// (lowest rank wins) after all ranks finish. Aggregate stats returned.
-CommStats run(int ranks, const std::function<void(Comm&)>& body);
-
-/// Like run(), but the substrate is chosen by `options` — the same body
-/// runs bit-identically over mailboxes, loopback sockets, or (with
-/// options.spawn) real forked worker processes.
+/// The SPMD launcher: runs `body(comm)` on `ranks` ranks over the
+/// substrate `options` chooses, and returns the aggregate counters and rank
+/// 0's result. The same body runs bit-identically over mailboxes, loopback
+/// sockets or forked worker processes. A failed world throws the root
+/// cause: the first failing rank whose failure is not a `peer rank … died`
+/// cascade. A threaded world rethrows that rank's own exception object; a
+/// spawned one throws SpawnError naming the rank, and a worker that dies
+/// silently is detected, reaped and reported, never waited on forever.
+/// With resilience.max_restarts > 0 failed attempts are restarted instead
+/// and resume from the last committed checkpoint (see Resilience).
 RunOutcome run_world(int ranks, const RunOptions& options,
                      const std::function<void(Comm&)>& body);
-
-/// SPMD launcher whose ranks are real processes talking tcp through a
-/// rendezvous server hosted by the launcher. With an empty `worker_argv`
-/// the workers are plain fork() children running `body` directly; with a
-/// non-empty one each worker is fork+exec'd from that command line, runs
-/// main() until it reaches this same run_spawned call site, and is routed
-/// into the worker path by the PEACHY_MPP_* environment variables (so pass
-/// e.g. {"/proc/self/exe", "--gtest_filter=<this test>"} to re-enter a
-/// test body). Worker failures surface as peachy::Error naming the rank;
-/// a worker that dies silently is detected, reaped, and reported — the
-/// launcher never hangs on a dead child. With resilience.max_restarts > 0
-/// the world is supervised instead: failed attempts are respawned and
-/// resume from the last committed checkpoint (see Resilience).
-RunOutcome run_spawned(int ranks, const std::vector<std::string>& worker_argv,
-                       const std::function<void(Comm&)>& body,
-                       const net::TcpOptions& tcp = {},
-                       const Resilience& resilience = {},
-                       const Telemetry& telemetry = {},
-                       const SpawnControl& control = {});
-
-/// The shared state behind a group of in-process ranks. Exposed for tests
-/// that need to drive ranks manually; most code should use mpp::run*.
-class World {
- public:
-  explicit World(int ranks);
-
-  int size() const { return hub_->size(); }
-
-  /// Creates the endpoint for `rank` (each rank exactly once).
-  Comm comm(int rank);
-
- private:
-  std::shared_ptr<net::InprocHub> hub_;
-};
 
 }  // namespace peachy::mpp

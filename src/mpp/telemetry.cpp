@@ -163,8 +163,7 @@ struct TelemetrySession::Impl {
       try {
         const std::vector<std::byte> payload = telemetry::encode_snapshot(
             rank, obs::Registry::global().samples(), {});
-        transport.send(0, kTagPeriodic,
-                       std::span<const std::byte>(payload));
+        transport.send(0, kTagPeriodic, payload.data(), payload.size());
       } catch (const Error&) {
         return;
       }
@@ -224,7 +223,7 @@ struct TelemetrySession::Impl {
       const std::vector<std::byte> payload = telemetry::encode_snapshot(
           rank, obs::Registry::global().samples(),
           obs::Tracer::global().snapshot());
-      transport.send(0, kTagFinal, std::span<const std::byte>(payload));
+      transport.send(0, kTagFinal, payload.data(), payload.size());
     } catch (const Error&) {
       // Rank 0 is gone; its gather will account for us as dead.
     }

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/error.hpp"
+#include "net/socket.hpp"
 #include "obs/cluster.hpp"
 
 namespace peachy::net {
@@ -13,6 +14,7 @@ Transport::~Transport() = default;
 InprocHub::InprocHub(int ranks)
     : ranks_(ranks), mailboxes_(ranks > 0 ? static_cast<std::size_t>(ranks) : 0) {
   PEACHY_REQUIRE(ranks >= 1, "world needs >= 1 rank, got " << ranks);
+  for (Mailbox& box : mailboxes_) box.gone.assign(mailboxes_.size(), false);
 }
 
 InprocTransport::InprocTransport(std::shared_ptr<InprocHub> hub, int rank)
@@ -46,7 +48,11 @@ std::vector<std::byte> InprocTransport::recv(int src, int tag, MsgInfo* info) {
   auto& box = hub_->mailboxes_[static_cast<std::size_t>(rank_)];
   std::unique_lock lock(box.mutex);
   auto& channel = box.channels[{src, tag}];
-  box.cv.wait(lock, [&channel] { return !channel.empty(); });
+  box.cv.wait(lock, [&] {
+    return !channel.empty() || box.gone[static_cast<std::size_t>(src)];
+  });
+  if (channel.empty())
+    throw PeerDied(rank_, src, "peer shut down with this recv pending");
   InprocHub::Delivery delivery = std::move(channel.front());
   channel.pop_front();
   if (info) *info = delivery.info;
@@ -64,6 +70,16 @@ bool InprocTransport::try_recv(int src, int tag, std::vector<std::byte>& out,
   if (info) *info = delivery.info;
   out = std::move(delivery.payload);
   return true;
+}
+
+void InprocTransport::shutdown() {
+  for (InprocHub::Mailbox& box : hub_->mailboxes_) {
+    {
+      std::lock_guard lock(box.mutex);
+      box.gone[static_cast<std::size_t>(rank_)] = true;
+    }
+    box.cv.notify_all();
+  }
 }
 
 }  // namespace peachy::net

@@ -39,6 +39,9 @@ class InprocHub {
     std::condition_variable cv;
     // FIFO per (src, tag) channel — MPI's non-overtaking rule.
     std::map<std::pair<int, int>, std::deque<Delivery>> channels;
+    // gone[src]: rank src shut down, so an empty (src, *) channel stays
+    // empty for good.
+    std::vector<bool> gone;
   };
 
   int ranks_;
@@ -51,12 +54,14 @@ class InprocTransport final : public Transport {
 
   int rank() const override { return rank_; }
   int size() const override { return hub_->size(); }
-  using Transport::send;  // the span overload forwards to the pointer one
   using Transport::recv;  // the no-info overload forwards to the full one
   void send(int dest, int tag, const void* data, std::size_t bytes) override;
   std::vector<std::byte> recv(int src, int tag, MsgInfo* info) override;
   bool try_recv(int src, int tag, std::vector<std::byte>& out,
                 MsgInfo* info = nullptr) override;
+  /// Marks this rank gone in every mailbox and wakes every waiter: a recv
+  /// from it that finds its channel empty throws PeerDied, as over tcp.
+  void shutdown() override;
 
  private:
   std::shared_ptr<InprocHub> hub_;

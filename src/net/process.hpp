@@ -1,4 +1,5 @@
-// ProcessLauncher: forks the worker processes behind mpp::run_spawned.
+// ProcessLauncher: forks the worker processes of a spawned mpp world
+// (mpp::run_world with RunOptions::spawn).
 //
 // Two spawning styles:
 //  * fork_workers — plain fork(); the child shares the parent's code and
@@ -6,7 +7,7 @@
 //    ranks on one machine.
 //  * exec_workers — fork() + execv() of a caller-supplied command line
 //    (typically the current binary re-invoked with a filter that routes
-//    straight back to the same mpp::run_spawned call site). The worker
+//    straight back to the same mpp::run_world call site). The worker
 //    discovers its identity through PEACHY_MPP_* environment variables.
 //
 // wait_all() is deadline-bounded: stragglers are SIGKILLed and reported
@@ -15,7 +16,7 @@
 //
 // Both spawn styles record their recipe, so respawn(rank) can fork a
 // replacement for a single failed rank later — the building block of the
-// supervised restart loop in mpp::run_spawned.
+// supervised restart loop in mpp::run_world.
 //
 // Children start with SIGTERM blocked (through exec, too). A recipe that
 // wants SIGTERM installs its handler and then unblocks it, as

@@ -67,7 +67,7 @@ class RendezvousServer {
   void close_listener_in_child();
 
   /// Valid after serve()/join(). Indexed by rank.
-  const std::vector<WorkerReport>& reports() const { return reports_; }
+  std::vector<WorkerReport>& reports() { return reports_; }
 
  private:
   int world_;

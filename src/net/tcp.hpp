@@ -119,7 +119,6 @@ class TcpTransport final : public Transport {
 
   int rank() const override { return rank_; }
   int size() const override { return world_; }
-  using Transport::send;  // the span overload forwards to the pointer one
   using Transport::recv;  // the no-info overload forwards to the full one
   void send(int dest, int tag, const void* data, std::size_t bytes) override;
   std::vector<std::byte> recv(int src, int tag, MsgInfo* info) override;

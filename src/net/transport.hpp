@@ -11,7 +11,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 namespace peachy::net {
@@ -39,18 +38,10 @@ class Transport {
   virtual void send(int dest, int tag, const void* data,
                     std::size_t bytes) = 0;
 
-  /// Zero-copy lane: same semantics as the pointer overload, but callers
-  /// that already hold a contiguous byte view (dmr shuffle blocks, sandpile
-  /// halo rows) pass it without materializing an intermediate vector —
-  /// the tcp backend frames it with scatter-gather I/O. Derived classes
-  /// re-expose this via `using Transport::send;`.
-  virtual void send(int dest, int tag, std::span<const std::byte> payload) {
-    send(dest, tag, payload.data(), payload.size());
-  }
-
   /// Blocking receive of the next message on the (src, tag) channel.
-  /// Throws PeerDied when `src` dies, or Error on timeout (tcp only;
-  /// inproc waits forever, like a deadlocked MPI run would). When `info`
+  /// Throws PeerDied when `src` died or shut down with the channel empty,
+  /// or Error on timeout (tcp only; inproc waits for as long as `src` is
+  /// alive, like a deadlocked MPI run would). When `info`
   /// is non-null it is filled with the message's trace context (has_ctx
   /// false when the sender attached none).
   virtual std::vector<std::byte> recv(int src, int tag, MsgInfo* info) = 0;
@@ -68,7 +59,8 @@ class Transport {
   virtual bool try_recv(int src, int tag, std::vector<std::byte>& out,
                         MsgInfo* info = nullptr) = 0;
 
-  /// Graceful close: flush goodbyes so peers can tell shutdown from death.
+  /// Graceful close: flush goodbyes, so a peer's pending or later recv
+  /// from this rank fails with PeerDied instead of waiting forever.
   /// Idempotent; never throws.
   virtual void shutdown() {}
 };

@@ -129,8 +129,7 @@ DistributedResult stabilize_distributed(const Field& initial,
           unpack_cols(blk.cols() + k);
         }
         // Full-width row strips are contiguous in the grid, so they leave
-        // as byte views over it (zero-copy lane: no intermediate vector
-        // between the slab and the wire).
+        // as byte views over it (no packing step, unlike the columns).
         if (north >= 0)
           comm.send(north, kTagNorth,
                     std::as_bytes(std::span(cur.row(k), row_strip)));

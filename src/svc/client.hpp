@@ -3,8 +3,8 @@
 // Each call opens a fresh connection, sends one kJobRequest frame, reads
 // the one kJobReply frame, and closes (protocol.hpp). The client is
 // therefore trivially usable from many threads at once — there is no
-// shared connection state — which is exactly what bench_job_service's N
-// concurrent submitters do.
+// shared connection state — which is exactly what perfbench's concurrent
+// clients do.
 //
 // Error model: transport failures and kError/kNotFound replies throw
 // peachy::Error. kRejected (admission control) is an expected outcome, so

@@ -12,9 +12,9 @@
 // Isolation: RunnerOptions::isolation picks the substrate. kThreads runs
 // ranks as pool threads inside the daemon (cheap, zero-copy, but a
 // crashing job takes the daemon with it); kProcess forks real worker
-// processes via mpp::run_spawned with RLIMIT fences, an optional
-// wall-clock deadline, and SIGTERM -> grace -> SIGKILL cancellation —
-// worker death is a FAILED record, not a daemon outage.
+// processes (mpp::run_world with RunOptions::spawn) with RLIMIT fences,
+// an optional wall-clock deadline, and SIGTERM -> grace -> SIGKILL
+// cancellation — worker death is a FAILED record, not a daemon outage.
 //
 // Cancellation is end-to-end for every kind: sandpile folds should_abort
 // into the termination allreduce each exchange round, dmr polls it at

@@ -10,13 +10,13 @@ namespace peachy::mpp {
 namespace {
 
 TEST(Mpp, WorldRequiresRanks) {
-  EXPECT_THROW(World(0), Error);
-  EXPECT_THROW(World(-2), Error);
+  for (int ranks : {0, -2})
+    EXPECT_THROW(run_world(ranks, {}, [](Comm&) {}), Error);
 }
 
 TEST(Mpp, SingleRankRuns) {
   std::atomic<int> ran{0};
-  run(1, [&](Comm& comm) {
+  run_world(1, {}, [&](Comm& comm) {
     EXPECT_EQ(comm.rank(), 0);
     EXPECT_EQ(comm.size(), 1);
     comm.barrier();
@@ -26,7 +26,7 @@ TEST(Mpp, SingleRankRuns) {
 }
 
 TEST(Mpp, PointToPointRoundTrip) {
-  run(2, [](Comm& comm) {
+  run_world(2, {}, [](Comm& comm) {
     if (comm.rank() == 0) {
       const int v = 42;
       comm.send(1, 7, &v, 1);
@@ -43,7 +43,7 @@ TEST(Mpp, PointToPointRoundTrip) {
 }
 
 TEST(Mpp, MessagesMatchOnSourceAndTag) {
-  run(3, [](Comm& comm) {
+  run_world(3, {}, [](Comm& comm) {
     if (comm.rank() == 0) {
       // Receive tag 2 before tag 1, and from rank 2 before rank 1, to prove
       // matching is not arrival-order dependent.
@@ -73,7 +73,7 @@ TEST(Mpp, MessagesMatchOnSourceAndTag) {
 }
 
 TEST(Mpp, FifoPerChannel) {
-  run(2, [](Comm& comm) {
+  run_world(2, {}, [](Comm& comm) {
     constexpr int kN = 100;
     if (comm.rank() == 0) {
       for (int i = 0; i < kN; ++i) comm.send(1, 0, &i, 1);
@@ -88,21 +88,21 @@ TEST(Mpp, FifoPerChannel) {
 }
 
 TEST(Mpp, SizeMismatchThrows) {
-  EXPECT_THROW(run(2,
-                   [](Comm& comm) {
-                     if (comm.rank() == 0) {
-                       const std::int64_t v[2] = {1, 2};
-                       comm.send(1, 0, v, 2);
-                     } else {
-                       std::int64_t v = 0;
-                       comm.recv(0, 0, &v, 1);  // expects 8 bytes, gets 16
-                     }
-                   }),
+  EXPECT_THROW(run_world(2, {},
+                         [](Comm& comm) {
+                           if (comm.rank() == 0) {
+                             const std::int64_t v[2] = {1, 2};
+                             comm.send(1, 0, v, 2);
+                           } else {
+                             std::int64_t v = 0;
+                             comm.recv(0, 0, &v, 1);  // expects 8 bytes, gets 16
+                           }
+                         }),
                Error);
 }
 
 TEST(Mpp, SendRecvExchangesWithoutDeadlock) {
-  run(2, [](Comm& comm) {
+  run_world(2, {}, [](Comm& comm) {
     const int partner = 1 - comm.rank();
     std::vector<double> mine(64, comm.rank() + 1.0), theirs(64, 0.0);
     comm.sendrecv(partner, 3, mine.data(), theirs.data(), 64);
@@ -112,7 +112,7 @@ TEST(Mpp, SendRecvExchangesWithoutDeadlock) {
 
 TEST(Mpp, AllreduceSum) {
   for (int ranks : {1, 2, 3, 5, 8}) {
-    run(ranks, [ranks](Comm& comm) {
+    run_world(ranks, {}, [ranks](Comm& comm) {
       const std::int64_t total = comm.allreduce_sum(comm.rank() + 1);
       EXPECT_EQ(total, static_cast<std::int64_t>(ranks) * (ranks + 1) / 2);
     });
@@ -120,21 +120,21 @@ TEST(Mpp, AllreduceSum) {
 }
 
 TEST(Mpp, AllreduceMax) {
-  run(4, [](Comm& comm) {
+  run_world(4, {}, [](Comm& comm) {
     EXPECT_EQ(comm.allreduce_max(comm.rank() * 10), 30);
     EXPECT_EQ(comm.allreduce_max(-comm.rank()), 0);
   });
 }
 
 TEST(Mpp, AllreduceOr) {
-  run(4, [](Comm& comm) {
+  run_world(4, {}, [](Comm& comm) {
     EXPECT_TRUE(comm.allreduce_or(comm.rank() == 2));
     EXPECT_FALSE(comm.allreduce_or(false));
   });
 }
 
 TEST(Mpp, RepeatedCollectivesStaySynchronized) {
-  run(4, [](Comm& comm) {
+  run_world(4, {}, [](Comm& comm) {
     for (int i = 0; i < 50; ++i) {
       const std::int64_t s = comm.allreduce_sum(i);
       EXPECT_EQ(s, 4 * i);
@@ -146,7 +146,7 @@ TEST(Mpp, RepeatedCollectivesStaySynchronized) {
 }
 
 TEST(Mpp, GatherConcatenatesInRankOrder) {
-  run(3, [](Comm& comm) {
+  run_world(3, {}, [](Comm& comm) {
     std::vector<int> mine(static_cast<std::size_t>(comm.rank()) + 1,
                           comm.rank());
     const auto all = comm.gather(0, mine);
@@ -164,7 +164,7 @@ TEST(Mpp, GatherConcatenatesInRankOrder) {
 }
 
 TEST(Mpp, GatherEmptyVectorsWork) {
-  run(3, [](Comm& comm) {
+  run_world(3, {}, [](Comm& comm) {
     std::vector<int> empty;
     const auto all = comm.gather(1, empty);
     EXPECT_TRUE(all.empty());
@@ -172,7 +172,7 @@ TEST(Mpp, GatherEmptyVectorsWork) {
 }
 
 TEST(Mpp, BroadcastDeliversRootData) {
-  run(4, [](Comm& comm) {
+  run_world(4, {}, [](Comm& comm) {
     std::vector<int> buf(8, comm.rank() == 2 ? 99 : -1);
     comm.broadcast(2, buf.data(), buf.size());
     for (int v : buf) EXPECT_EQ(v, 99);
@@ -180,7 +180,7 @@ TEST(Mpp, BroadcastDeliversRootData) {
 }
 
 TEST(Mpp, BroadcastSingleRankNoop) {
-  run(1, [](Comm& comm) {
+  run_world(1, {}, [](Comm& comm) {
     int v = 7;
     comm.broadcast(0, &v, 1);
     EXPECT_EQ(v, 7);
@@ -188,7 +188,7 @@ TEST(Mpp, BroadcastSingleRankNoop) {
 }
 
 TEST(Mpp, ScatterDistributesChunks) {
-  run(3, [](Comm& comm) {
+  run_world(3, {}, [](Comm& comm) {
     std::vector<int> all;
     if (comm.rank() == 0)
       all = {10, 11, 20, 21, 30, 31};
@@ -201,16 +201,16 @@ TEST(Mpp, ScatterDistributesChunks) {
 
 TEST(Mpp, ScatterValidatesRootSize) {
   // Single-rank world so the throwing root cannot leave peers blocked.
-  EXPECT_THROW(run(1,
-                   [](Comm& comm) {
-                     std::vector<int> all(3);  // not 1 * chunk
-                     comm.scatter(0, all, 2);
-                   }),
+  EXPECT_THROW(run_world(1, {},
+                         [](Comm& comm) {
+                           std::vector<int> all(3);  // not 1 * chunk
+                           comm.scatter(0, all, 2);
+                         }),
                Error);
 }
 
 TEST(Mpp, ScatterGatherRoundTrip) {
-  run(4, [](Comm& comm) {
+  run_world(4, {}, [](Comm& comm) {
     std::vector<double> all;
     if (comm.rank() == 0)
       for (int i = 0; i < 12; ++i) all.push_back(i * 1.5);
@@ -225,7 +225,7 @@ TEST(Mpp, ScatterGatherRoundTrip) {
 }
 
 TEST(Mpp, StatsCountMessagesAndBytes) {
-  const CommStats total = run(2, [](Comm& comm) {
+  const CommStats total = run_world(2, {}, [](Comm& comm) {
     if (comm.rank() == 0) {
       const double v[8] = {};
       comm.send(1, 0, v, 8);
@@ -233,27 +233,27 @@ TEST(Mpp, StatsCountMessagesAndBytes) {
       double v[8];
       comm.recv(0, 0, v, 8);
     }
-  });
+  }).comm;
   EXPECT_EQ(total.messages_sent, 1u);
   EXPECT_EQ(total.bytes_sent, 64u);
 }
 
 TEST(Mpp, ExceptionInRankPropagates) {
-  EXPECT_THROW(run(2,
-                   [](Comm& comm) {
-                     if (comm.rank() == 1) throw Error("rank 1 failed");
-                   }),
+  EXPECT_THROW(run_world(2, {},
+                         [](Comm& comm) {
+                           if (comm.rank() == 1) throw Error("rank 1 failed");
+                         }),
                Error);
 }
 
 TEST(Mpp, SendToBadRankThrows) {
-  EXPECT_THROW(run(2,
-                   [](Comm& comm) {
-                     if (comm.rank() == 0) {
-                       int v = 0;
-                       comm.send(5, 0, &v, 1);
-                     }
-                   }),
+  EXPECT_THROW(run_world(2, {},
+                         [](Comm& comm) {
+                           if (comm.rank() == 0) {
+                             int v = 0;
+                             comm.send(5, 0, &v, 1);
+                           }
+                         }),
                Error);
 }
 

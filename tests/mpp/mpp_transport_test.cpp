@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "mpp/mpp.hpp"
+#include "mpp/pool.hpp"
+#include "net/socket.hpp"
 
 namespace peachy::mpp {
 namespace {
@@ -151,6 +154,61 @@ TEST_P(TransportSemantics, SizeMismatchNamesTheChannel) {
   EXPECT_NE(message.find("rank 1"), std::string::npos) << message;
   EXPECT_NE(message.find("rank 0"), std::string::npos) << message;
   EXPECT_NE(message.find("tag 6"), std::string::npos) << message;
+}
+
+// Inproc goodbye: a rank that leaves (here by throwing) marks itself gone,
+// so a peer blocked on it gets PeerDied instead of waiting forever. Rank 0
+// waits on rank 1; rank 2 waits on rank 0 in a barrier and is released by
+// rank 0's own goodbye in turn.
+void fail_rank1_under_blocked_peers(Comm& comm, std::string& rank0_saw,
+                                    std::mutex& mu) {
+  if (comm.rank() == 1) throw Error("rank 1 gave up");
+  if (comm.rank() == 0) {
+    try {
+      std::int64_t x = 0;
+      comm.recv(1, 1, &x, 1);
+    } catch (const net::PeerDied& e) {
+      const std::lock_guard lock(mu);
+      rank0_saw = e.what();
+      throw;
+    }
+  }
+  comm.barrier();
+}
+
+TEST(InprocGoodbye, FailedRankReleasesBlockedPeers) {
+  std::mutex mu;
+  std::string rank0_saw;
+  try {
+    run_world(3, {}, [&](Comm& comm) {
+      fail_rank1_under_blocked_peers(comm, rank0_saw, mu);
+    });
+    FAIL() << "rank 1's failure should propagate";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "rank 1 gave up");
+  }
+  EXPECT_NE(rank0_saw.find("rank 0: peer rank 1 died"), std::string::npos)
+      << rank0_saw;
+}
+
+TEST(InprocGoodbye, PooledGangRunsAgainAfterAFailedRank) {
+  RankPool pool(3);
+  RunOptions options;
+  options.pool = &pool;
+  std::mutex mu;
+  std::string rank0_saw;
+  EXPECT_THROW(run_world(3, options,
+                         [&](Comm& comm) {
+                           fail_rank1_under_blocked_peers(comm, rank0_saw,
+                                                          mu);
+                         }),
+               Error);
+  // Every pooled thread came back, so a second gang gets the whole pool.
+  EXPECT_EQ(pool.available(), 3);
+  const RunOutcome out = run_world(3, options, [](Comm& comm) {
+    EXPECT_EQ(comm.allreduce_sum(comm.rank()), 3);
+  });
+  EXPECT_GT(out.comm.messages_sent, 0u);
 }
 
 }  // namespace

@@ -111,7 +111,10 @@ TEST(TelemetrySpawned, FourRankWorldWritesOneMergedValidTrace) {
   telemetry.interval_ms = 50;
   telemetry.trace_path = trace;
 
-  const RunOutcome out = run_spawned(4, {}, ring_body, {}, {}, telemetry);
+  const RunOutcome out = run_world(
+      4,
+      {.transport = TransportKind::kTcp, .spawn = true, .telemetry = telemetry},
+      ring_body);
   EXPECT_GT(out.comm.messages_sent, 0u);
   ASSERT_TRUE(std::filesystem::exists(trace)) << trace;
 
@@ -143,16 +146,18 @@ TEST(TelemetrySpawned, CheckpointWritesAppearInTheMergedTrace) {
   Resilience resilience;
   resilience.checkpoint_dir = (dir / "ckpt").string();
 
-  run_spawned(
-      4, {},
-      [](Comm& comm) {
-        const std::vector<std::byte> blob(1024, std::byte{1});
-        for (int cut = 0; cut < 3; ++cut) {
-          comm.allreduce_sum(cut);
-          comm.checkpoint(blob.data(), blob.size());
-        }
-      },
-      {}, resilience, telemetry);
+  run_world(4,
+            {.transport = TransportKind::kTcp,
+             .spawn = true,
+             .resilience = resilience,
+             .telemetry = telemetry},
+            [](Comm& comm) {
+              const std::vector<std::byte> blob(1024, std::byte{1});
+              for (int cut = 0; cut < 3; ++cut) {
+                comm.allreduce_sum(cut);
+                comm.checkpoint(blob.data(), blob.size());
+              }
+            });
   ASSERT_TRUE(std::filesystem::exists(trace)) << trace;
   const std::string cmd = "python3 " PEACHY_SOURCE_DIR
                           "/scripts/trace_check.py \"" +
@@ -218,15 +223,15 @@ TEST(TelemetrySpawned, MetricsEndpointServesRankLabeledRollupMidRun) {
     }
   });
 
-  run_spawned(
-      2, {},
+  run_world(
+      2,
+      {.transport = TransportKind::kTcp, .spawn = true, .telemetry = telemetry},
       [](Comm& comm) {
         ring_body(comm);
         // Keep the world alive long enough for the scrape.
         std::this_thread::sleep_for(3s);
         comm.barrier();
-      },
-      {}, {}, telemetry);
+      });
   scraper.join();
 
   ASSERT_NE(scraped.find("200 OK"), std::string::npos) << scraped;
@@ -257,7 +262,13 @@ TEST(TelemetrySpawned, SeveredRankLeavesFlightRecorderDump) {
   // design: telemetry must never mask a clean run's result).
   tcp.fault.sever_after = 3;
 
-  EXPECT_THROW(run_spawned(2, {}, ring_body, tcp, {}, telemetry), Error);
+  EXPECT_THROW(run_world(2,
+                         {.transport = TransportKind::kTcp,
+                          .spawn = true,
+                          .tcp = tcp,
+                          .telemetry = telemetry},
+                         ring_body),
+               Error);
   ::unsetenv("PEACHY_FLIGHT_DIR");
 
   // At least one rank must have written a post-mortem naming its rank.

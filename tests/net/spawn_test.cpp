@@ -1,7 +1,8 @@
-// mpp::run_spawned: ranks as real forked (or fork+exec'd) processes, wired
-// up through the rendezvous server. These tests fork, so they carry the
-// `spawn` label and are excluded from the tsan preset (TSan cannot follow
-// threads created after fork; ASan is fine).
+// Spawned mpp worlds (mpp::run_world with RunOptions::spawn): ranks as real
+// forked (or fork+exec'd) processes, wired up through the rendezvous
+// server. These tests fork, so they carry the `spawn` label and are
+// excluded from the tsan preset (TSan cannot follow threads created after
+// fork; ASan is fine).
 #include <gtest/gtest.h>
 
 #include <signal.h>
@@ -10,6 +11,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -21,9 +23,17 @@
 namespace peachy {
 namespace {
 
+/// Options for a spawned world: plain fork() children, or workers exec'd
+/// from `argv` when it is non-empty.
+mpp::RunOptions spawned(std::vector<std::string> argv = {}) {
+  return {.transport = mpp::TransportKind::kTcp,
+          .spawn = true,
+          .worker_argv = std::move(argv)};
+}
+
 TEST(Spawn, ForkedWorkersAllreduceAndReturnResult) {
-  const mpp::RunOutcome out = mpp::run_spawned(
-      3, {}, [](mpp::Comm& comm) {
+  const mpp::RunOutcome out = mpp::run_world(
+      3, spawned(), [](mpp::Comm& comm) {
         const std::int64_t sum = comm.allreduce_sum(comm.rank() + 1);
         EXPECT_EQ(sum, 6);  // runs inside the worker process
         if (comm.rank() == 0) {
@@ -40,7 +50,7 @@ TEST(Spawn, ForkedWorkersAllreduceAndReturnResult) {
 
 TEST(Spawn, WorkerExceptionPropagatesNamingRank) {
   try {
-    mpp::run_spawned(2, {}, [](mpp::Comm& comm) {
+    mpp::run_world(2, spawned(), [](mpp::Comm& comm) {
       if (comm.rank() == 1) throw Error("boom in worker");
       // Rank 0 blocks on rank 1 and is released by its death.
       std::int64_t x = 0;
@@ -56,7 +66,7 @@ TEST(Spawn, WorkerExceptionPropagatesNamingRank) {
 
 TEST(Spawn, KilledWorkerIsDetectedNotHung) {
   try {
-    mpp::run_spawned(2, {}, [](mpp::Comm& comm) {
+    mpp::run_world(2, spawned(), [](mpp::Comm& comm) {
       if (comm.rank() == 1) ::raise(SIGKILL);
       std::int64_t x = 0;
       comm.recv(1, 1, &x, 1);  // released as PeerDied by the death
@@ -118,26 +128,21 @@ TEST(Spawn, SigtermAtBirthEndsTheWorldPromptly) {
   // left the rendezvous blocked for its whole accept budget). The short
   // socket timeouts turn such a hang into a failed time bound rather than
   // a stuck test.
-  const std::vector<std::string> argv = {
-      "/proc/self/exe", "--gtest_filter=Spawn.SigtermAtBirthEndsTheWorldPromptly"};
-  net::TcpOptions tcp;
-  tcp.connect_timeout_ms = 3000;
-  tcp.recv_timeout_ms = 3000;
-  mpp::SpawnControl control;
-  control.should_abort = [] { return true; };
-  control.poll_ms = 1;
-  control.term_grace_ms = 3000;
+  mpp::RunOptions options = spawned(
+      {"/proc/self/exe",
+       "--gtest_filter=Spawn.SigtermAtBirthEndsTheWorldPromptly"});
+  options.tcp.connect_timeout_ms = 3000;
+  options.tcp.recv_timeout_ms = 3000;
+  options.spawn_control.should_abort = [] { return true; };
+  options.spawn_control.term_grace_ms = 3000;
   for (int round = 0; round < 20; ++round) {
     const auto t0 = std::chrono::steady_clock::now();
     try {
-      mpp::run_spawned(
-          4, argv,
-          [](mpp::Comm& comm) {
-            // Cooperative cancel: stop together once any rank saw SIGTERM.
-            while (!comm.allreduce_or(mpp::spawn_abort_requested())) {
-            }
-          },
-          tcp, {}, {}, control);
+      mpp::run_world(4, options, [](mpp::Comm& comm) {
+        // Cooperative cancel: stop together once any rank saw SIGTERM.
+        while (!comm.allreduce_or(mpp::spawn_abort_requested())) {
+        }
+      });
     } catch (const Error& e) {
       ADD_FAILURE() << "round " << round << ": " << e.what();
     }
@@ -222,13 +227,13 @@ TEST(Spawn, SeededFaultsAreDeterministicAcrossProcessRuns) {
 
 // Exec mode: each worker is a fresh copy of this very test binary. The
 // child runs main(), gtest filters it down to this one test, and the
-// PEACHY_MPP_* environment routes the re-entered run_spawned call into the
+// PEACHY_MPP_* environment routes the re-entered run_world call into the
 // worker path (it never launches grandchildren).
 TEST(Spawn, ExecModeRespawnsThisBinary) {
-  const std::vector<std::string> argv = {
-      "/proc/self/exe", "--gtest_filter=Spawn.ExecModeRespawnsThisBinary"};
+  const mpp::RunOptions options = spawned(
+      {"/proc/self/exe", "--gtest_filter=Spawn.ExecModeRespawnsThisBinary"});
   const mpp::RunOutcome out =
-      mpp::run_spawned(2, argv, [](mpp::Comm& comm) {
+      mpp::run_world(2, options, [](mpp::Comm& comm) {
         std::int64_t token = comm.rank() == 0 ? 7 : 0;
         if (comm.rank() == 0) {
           comm.send(1, 2, &token, 1);
@@ -243,6 +248,49 @@ TEST(Spawn, ExecModeRespawnsThisBinary) {
   std::int64_t hi = 0;
   std::memcpy(&hi, out.rank0_result.data(), sizeof(hi));
   EXPECT_EQ(hi, 1);
+}
+
+// One root-cause rule on every substrate: rank 2 throws while rank 0 is
+// blocked on it, so rank 0 fails too (a `peer rank 2 died` cascade), and the
+// world must still report rank 2's own error.
+struct Substrate {
+  const char* name;
+  mpp::TransportKind transport;
+  bool spawn;
+};
+
+void PrintTo(const Substrate& substrate, std::ostream* os) {
+  *os << substrate.name;
+}
+
+class Mpp : public ::testing::TestWithParam<Substrate> {};
+
+INSTANTIATE_TEST_SUITE_P(
+    , Mpp,
+    ::testing::Values(Substrate{"inproc", mpp::TransportKind::kInproc, false},
+                      Substrate{"tcp", mpp::TransportKind::kTcp, false},
+                      Substrate{"spawned", mpp::TransportKind::kTcp, true}),
+    [](const ::testing::TestParamInfo<Substrate>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST_P(Mpp, FailingRankIsNamedAsRootCauseOnEverySubstrate) {
+  const mpp::RunOptions options = {.transport = GetParam().transport,
+                                   .spawn = GetParam().spawn};
+  try {
+    mpp::run_world(3, options, [](mpp::Comm& comm) {
+      if (comm.rank() == 2) throw Error("rank 2 lost its input");
+      if (comm.rank() == 0) {
+        std::int64_t x = 0;
+        comm.recv(2, 1, &x, 1);  // released by rank 2's goodbye
+      }
+    });
+    FAIL() << "rank 2's failure should propagate";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("rank 2 lost its input"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("peer rank"), std::string::npos) << msg;
+  }
 }
 
 }  // namespace
