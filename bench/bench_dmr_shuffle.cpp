@@ -215,63 +215,9 @@ int main() {
                "(more, smaller sorted runs to merge), while output stays "
                "byte-identical to the in-process engine throughout.\n";
 
-  // --- Section 3: sliding-window sweep over the tcp shuffle -------------
-  // map_epochs amplifies the shuffle traffic (every epoch re-ships each
-  // partition block), making the transport's window geometry visible;
-  // window 1 is the stop-and-wait protocol the pipelined transport
-  // replaced.
-  std::cout << "\nsliding-window sweep — tcp, 4 ranks, 8 map epochs, 32 map "
-               "tasks (window 1 = stop-and-wait baseline):\n\n";
-  TextTable win_table(
-      {"window", "wall ms", "stalls", "acks", "retransmits", "correct"});
-  json::Array win_rows;
-  for (const int window : {1, 2, 4, 8, 16, 32}) {
-    dmr::Options opt;
-    opt.ranks = 4;
-    opt.map_epochs = 8;
-    opt.map_tasks = 32;
-    opt.partitions = kPartitions;
-    opt.map_workers = 2;
-    opt.reduce_workers = 2;
-    opt.run.transport = mpp::TransportKind::kTcp;
-    opt.run.tcp.window_frames = window;
-    dmr::Job<int, std::string, std::string, std::uint64_t, std::string,
-             std::uint64_t>
-        job;
-    job.mapper(word_mapper).reducer(sum_reducer).options(std::move(opt));
-    WallTimer timer;
-    const auto r = job.run(inputs);
-    const double ms = timer.elapsed_ms();
-    const bool correct = r.output == expect;
-    win_table.row(
-        {TextTable::num(static_cast<std::int64_t>(window)),
-         TextTable::num(ms, 1),
-         TextTable::num(static_cast<std::int64_t>(r.net.window_stalls)),
-         TextTable::num(static_cast<std::int64_t>(r.net.acks_sent)),
-         TextTable::num(static_cast<std::int64_t>(r.net.retransmits)),
-         correct ? "yes" : "NO"});
-    json::Object row;
-    row["window"] = json::Value(static_cast<std::int64_t>(window));
-    row["wall_ms"] = json::Value(ms);
-    row["window_stalls"] =
-        json::Value(static_cast<std::int64_t>(r.net.window_stalls));
-    row["acks_sent"] =
-        json::Value(static_cast<std::int64_t>(r.net.acks_sent));
-    row["retransmits"] =
-        json::Value(static_cast<std::int64_t>(r.net.retransmits));
-    row["correct"] = json::Value(correct);
-    win_rows.push_back(json::Value(std::move(row)));
-  }
-  win_table.print(std::cout);
-  std::cout << "\nexpected shape: wall time falls (or stays flat) as the "
-               "window opens — the shuffle's many small blocks stop paying "
-               "one ack round-trip each — with output byte-identical to the "
-               "in-process engine at every setting.\n";
-
   json::Object doc;
   doc["rank_scaling"] = json::Value(std::move(scale_rows));
   doc["spill_sweep"] = json::Value(std::move(spill_rows));
-  doc["window_sweep"] = json::Value(std::move(win_rows));
   std::filesystem::create_directories("out");
   std::ofstream("out/BENCH_dmr.json")
       << json::Value(std::move(doc)).dump(true) << "\n";

@@ -14,7 +14,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <vector>
 
 #include "core/json.hpp"
@@ -105,7 +104,7 @@ int main() {
                "full-width rows), at the cost of twice the messages.\n";
 
   // --- Transport comparison: the same halo exchanges over in-process
-  // mailboxes vs real loopback sockets (framing + CRC + ack/retransmit).
+  // mailboxes vs real loopback sockets (framing + CRC + syscalls).
   constexpr int kNetSize = 128;
   const Field net_initial = center_pile(kNetSize, kNetSize, 20000);
   Field net_reference = net_initial;
@@ -114,7 +113,7 @@ int main() {
   std::cout << "\ninproc vs tcp transport — " << kNetSize << "x" << kNetSize
             << " pile, 20 000 grains centered:\n";
   TextTable net_table({"ranks", "halo k", "transport", "rounds", "messages",
-                       "MB sent", "retransmits", "wall ms", "us/exchange",
+                       "MB sent", "wall ms", "us/exchange",
                        "correct"});
   json::Array net_rows;
   for (int ranks : {2, 4}) {
@@ -138,7 +137,6 @@ int main() {
              TextTable::num(static_cast<std::int64_t>(r.rounds)),
              TextTable::num(static_cast<std::int64_t>(r.comm.messages_sent)),
              TextTable::num(static_cast<double>(r.comm.bytes_sent) / 1e6, 2),
-             TextTable::num(static_cast<std::int64_t>(r.net.retransmits)),
              TextTable::num(ms, 1),
              TextTable::num(ms * 1e3 / r.rounds, 1),
              correct ? "yes" : "NO"});
@@ -153,8 +151,6 @@ int main() {
             json::Value(static_cast<std::int64_t>(r.comm.messages_sent));
         row["bytes"] =
             json::Value(static_cast<std::int64_t>(r.comm.bytes_sent));
-        row["retransmits"] =
-            json::Value(static_cast<std::int64_t>(r.net.retransmits));
         row["wall_ms"] = json::Value(ms);
         row["us_per_exchange"] = json::Value(ms * 1e3 / r.rounds);
         if (transport == mpp::TransportKind::kTcp)
@@ -166,111 +162,14 @@ int main() {
   }
   net_table.print(std::cout);
   std::cout << "\nexpected shape: tcp pays a per-exchange latency floor "
-               "(syscalls, framing, acks), so deeper halos close more of the "
+               "(syscalls, framing, reader wake-ups), so deeper halos close more of the "
                "gap to inproc — exactly the exchange-frequency trade-off the "
                "pattern teaches.\n";
-
-  // --- Sliding-window sweep: raw burst throughput. Rank 0 pushes a fixed
-  // burst of frames at rank 1; window 1 is the stop-and-wait protocol this
-  // transport replaced (one frame in flight, one ack round-trip per frame),
-  // so the column is the before/after comparison in one table.
-  constexpr int kBurstFrames = 256;
-  constexpr std::size_t kBurstBytes = 4096;
-  std::cout << "\nsliding-window burst throughput — 2 tcp ranks, "
-            << kBurstFrames << " x " << kBurstBytes / 1024
-            << " KiB frames (window 1 = stop-and-wait baseline):\n";
-  TextTable burst_table(
-      {"window", "wall ms", "MB/s", "stalls", "acks", "retransmits"});
-  json::Array burst_rows;
-  for (const int window : {1, 2, 4, 8, 16, 32}) {
-    mpp::RunOptions run;
-    run.transport = mpp::TransportKind::kTcp;
-    run.tcp.window_frames = window;
-    WallTimer timer;
-    const mpp::RunOutcome out = mpp::run_world(2, run, [](mpp::Comm& comm) {
-      std::vector<std::byte> buf(kBurstBytes);
-      if (comm.rank() == 0) {
-        for (int i = 0; i < kBurstFrames; ++i)
-          comm.send(1, 1, std::span<const std::byte>(buf));
-        std::uint32_t done = 0;
-        comm.recv(1, 2, &done, 1);  // completion: every frame arrived
-      } else {
-        for (int i = 0; i < kBurstFrames; ++i)
-          comm.recv(0, 1, buf.data(), buf.size());
-        const std::uint32_t done = 1;
-        comm.send(0, 2, &done, 1);
-      }
-    });
-    const double ms = timer.elapsed_ms();
-    const double mb_per_s =
-        static_cast<double>(kBurstFrames) * kBurstBytes / 1e6 / (ms / 1e3);
-    burst_table.row(
-        {TextTable::num(static_cast<std::int64_t>(window)),
-         TextTable::num(ms, 1), TextTable::num(mb_per_s, 1),
-         TextTable::num(static_cast<std::int64_t>(out.net.window_stalls)),
-         TextTable::num(static_cast<std::int64_t>(out.net.acks_sent)),
-         TextTable::num(static_cast<std::int64_t>(out.net.retransmits))});
-    json::Object row;
-    row["window"] = json::Value(static_cast<std::int64_t>(window));
-    row["frames"] = json::Value(static_cast<std::int64_t>(kBurstFrames));
-    row["frame_bytes"] = json::Value(static_cast<std::int64_t>(kBurstBytes));
-    row["wall_ms"] = json::Value(ms);
-    row["mb_per_s"] = json::Value(mb_per_s);
-    row["window_stalls"] =
-        json::Value(static_cast<std::int64_t>(out.net.window_stalls));
-    row["acks_sent"] =
-        json::Value(static_cast<std::int64_t>(out.net.acks_sent));
-    row["retransmits"] =
-        json::Value(static_cast<std::int64_t>(out.net.retransmits));
-    burst_rows.push_back(json::Value(std::move(row)));
-  }
-  burst_table.print(std::cout);
-  std::cout << "\nexpected shape: throughput rises (or stays flat) with the "
-               "window — stop-and-wait pays one ack round-trip per frame, "
-               "the pipelined window amortizes it over the whole burst.\n";
-
-  // --- Sliding-window sweep over the real halo exchange.
-  std::cout << "\nsliding-window halo sweep — tcp, 4 ranks, k = 1:\n";
-  TextTable win_table(
-      {"window", "wall ms", "us/exchange", "stalls", "acks", "correct"});
-  json::Array win_rows;
-  for (const int window : {1, 2, 4, 8, 16, 32}) {
-    DistributedOptions opt;
-    opt.ranks = 4;
-    opt.halo_depth = 1;
-    opt.run.transport = mpp::TransportKind::kTcp;
-    opt.run.tcp.window_frames = window;
-    WallTimer timer;
-    const DistributedResult r = stabilize_distributed(net_initial, opt);
-    const double ms = timer.elapsed_ms();
-    const bool correct = r.field.same_interior(net_reference);
-    win_table.row(
-        {TextTable::num(static_cast<std::int64_t>(window)),
-         TextTable::num(ms, 1), TextTable::num(ms * 1e3 / r.rounds, 1),
-         TextTable::num(static_cast<std::int64_t>(r.net.window_stalls)),
-         TextTable::num(static_cast<std::int64_t>(r.net.acks_sent)),
-         correct ? "yes" : "NO"});
-    json::Object row;
-    row["window"] = json::Value(static_cast<std::int64_t>(window));
-    row["wall_ms"] = json::Value(ms);
-    row["us_per_exchange"] = json::Value(ms * 1e3 / r.rounds);
-    row["window_stalls"] =
-        json::Value(static_cast<std::int64_t>(r.net.window_stalls));
-    row["acks_sent"] =
-        json::Value(static_cast<std::int64_t>(r.net.acks_sent));
-    row["retransmits"] =
-        json::Value(static_cast<std::int64_t>(r.net.retransmits));
-    row["correct"] = json::Value(correct);
-    win_rows.push_back(json::Value(std::move(row)));
-  }
-  win_table.print(std::cout);
 
   json::Object doc;
   doc["grid"] = json::Value(static_cast<std::int64_t>(kNetSize));
   doc["grains"] = json::Value(static_cast<std::int64_t>(20000));
   doc["sweep"] = json::Value(std::move(net_rows));
-  doc["burst_window_sweep"] = json::Value(std::move(burst_rows));
-  doc["window_sweep"] = json::Value(std::move(win_rows));
   std::filesystem::create_directories("out");
   std::ofstream("out/BENCH_net.json")
       << json::Value(std::move(doc)).dump(true) << "\n";

@@ -46,8 +46,8 @@ double median(std::vector<double> samples) {
 
 // The cluster workload: every rank pushes fixed-size payloads around a
 // 4-rank ring for a fixed round count — pure transport pressure through
-// the sliding-window/coalescing send path, with a Comm-level context mint
-// per message when telemetry is on.
+// the tcp send path, with a Comm-level context mint per message when
+// telemetry is on.
 constexpr int kClusterRanks = 4;
 constexpr int kClusterRounds = 150;
 constexpr std::size_t kPayloadInts = 8192;  // 64 KiB per message

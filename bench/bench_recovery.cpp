@@ -89,11 +89,7 @@ int main() {
     opt.run.spawn = true;
     opt.run.transport = mpp::TransportKind::kTcp;
     opt.run.resilience.max_restarts = 2;
-    opt.run.tcp.ack_timeout_ms = 20;
-    if (sever_after >= 0) {
-      opt.run.tcp.fault.seed = 7;
-      opt.run.tcp.fault.sever_after = sever_after;
-    }
+    opt.run.tcp.fault.sever_after = sever_after;
     return opt;
   };
 

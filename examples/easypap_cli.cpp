@@ -39,11 +39,6 @@
 //   --halo K             ghost-cell halo depth (default 1)
 //   --transport NAME     inproc | tcp (default inproc)
 //   --spawn              ranks are real worker processes (implies tcp)
-//   --net-window W       unacked frames per peer on the tcp wire
-//                        (default 32; 1 = stop-and-wait)
-//   --net-fault-seed S   seeded frame drop/duplication on the tcp wire
-//   --net-fault-drop P        explicit frame drop probability [0,1]
-//   --net-fault-dup P         explicit frame duplication probability
 //   --net-fault-sever-after N hard-kill each link after its Nth frame
 //   --checkpoint-every N cut a checkpoint every N exchange rounds
 //   --max-restarts M     respawn+restore a failed world up to M times
@@ -96,7 +91,6 @@ int main(int argc, char** argv) {
         {"variant", "config", "size", "grains", "density", "seed", "tile",
          "threads", "schedule", "iterations", "dump", "trace", "metrics",
          "monitor", "check", "list", "ranks", "halo", "transport", "spawn",
-         "net-window", "net-fault-seed", "net-fault-drop", "net-fault-dup",
          "net-fault-sever-after", "checkpoint-every", "max-restarts",
          "checkpoint-dir", "metrics-port", "metrics-port-file", "platform"});
     if (!unknown.empty()) {
@@ -135,28 +129,8 @@ int main(int argc, char** argv) {
           mpp::transport_from_string(args.get("transport", "inproc"));
       opt.run.spawn = args.has("spawn");
       if (opt.run.spawn) opt.run.transport = mpp::TransportKind::kTcp;
-      // --net-fault-seed alone keeps the legacy 2% drop/dup demo; any
-      // explicit knob switches to exactly the requested plan.
-      const auto fault_seed =
-          static_cast<std::uint64_t>(args.get_int("net-fault-seed", 0));
-      const bool explicit_plan = args.has("net-fault-drop") ||
-                                 args.has("net-fault-dup") ||
-                                 args.has("net-fault-sever-after");
-      if (explicit_plan) {
-        opt.run.tcp.fault.seed = fault_seed ? fault_seed : 1;
-        opt.run.tcp.fault.drop = args.get_double("net-fault-drop", 0.0);
-        opt.run.tcp.fault.duplicate = args.get_double("net-fault-dup", 0.0);
-        opt.run.tcp.fault.sever_after =
-            args.get_int("net-fault-sever-after", -1);
-        opt.run.tcp.ack_timeout_ms = 20;
-      } else if (fault_seed) {
-        opt.run.tcp.fault.seed = fault_seed;
-        opt.run.tcp.fault.drop = 0.02;
-        opt.run.tcp.fault.duplicate = 0.02;
-        opt.run.tcp.ack_timeout_ms = 20;
-      }
-      opt.run.tcp.window_frames = std::max(
-          1, args.get_int("net-window", opt.run.tcp.window_frames));
+      opt.run.tcp.fault.sever_after =
+          args.get_int("net-fault-sever-after", -1);
       opt.checkpoint_every = args.get_int("checkpoint-every", 0);
       opt.run.resilience.max_restarts = args.get_int("max-restarts", 0);
       opt.run.resilience.checkpoint_dir = args.get("checkpoint-dir", "");
@@ -194,8 +168,6 @@ int main(int argc, char** argv) {
       table.row({"MB sent",
                  TextTable::num(static_cast<double>(out.comm.bytes_sent) / 1e6,
                                 2)});
-      table.row({"retransmits", TextTable::num(static_cast<std::int64_t>(
-                                    out.net.retransmits))});
       table.row({"restarts",
                  TextTable::num(static_cast<std::int64_t>(out.restarts))});
 

@@ -9,11 +9,10 @@
 //
 // By default the ranks are threads exchanging through in-process mailboxes;
 // with --transport tcp every halo crosses a real loopback socket, and with
-// --spawn the ranks become separate worker processes. --net-fault-seed
-// turns on deterministic frame drop/duplication to show the wire protocol
-// absorbing faults.
-#include <algorithm>
-#include <cstdlib>
+// --spawn the ranks become separate worker processes.
+// --net-fault-sever-after N with --checkpoint-every and --max-restarts
+// severs every link mid-run to show the world restarting from a
+// checkpoint.
 #include <iostream>
 
 #include "core/args.hpp"
@@ -31,11 +30,6 @@ void usage() {
       "  --ranks N            message-passing ranks (default 4)\n"
       "  --transport NAME     inproc | tcp (default inproc)\n"
       "  --spawn              ranks are real processes (implies tcp)\n"
-      "  --net-window W       unacked frames per peer on the tcp wire\n"
-      "                       (default 32; 1 = stop-and-wait)\n"
-      "  --net-fault-seed S   inject seeded frame drops/duplicates (tcp)\n"
-      "  --net-fault-drop P        explicit frame drop probability [0,1]\n"
-      "  --net-fault-dup P         explicit frame duplication probability\n"
       "  --net-fault-sever-after N hard-kill each link after its Nth frame\n"
       "  --checkpoint-every N  checkpoint local slabs every N rounds\n"
       "  --max-restarts M      respawn+restore a failed world up to M times\n"
@@ -55,9 +49,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   const auto unknown = args.unknown_options(
-      {"size", "grains", "ranks", "transport", "spawn", "net-window",
-       "net-fault-seed",
-       "net-fault-drop", "net-fault-dup", "net-fault-sever-after",
+      {"size", "grains", "ranks", "transport", "spawn",
+       "net-fault-sever-after",
        "checkpoint-every", "max-restarts", "checkpoint-dir", "help"});
   if (!unknown.empty()) {
     std::cerr << "unknown option --" << unknown.front() << "\n";
@@ -73,28 +66,7 @@ int main(int argc, char** argv) {
   run.transport = mpp::transport_from_string(args.get("transport", "inproc"));
   run.spawn = args.has("spawn");
   if (run.spawn) run.transport = mpp::TransportKind::kTcp;
-  // Fault plan: --net-fault-seed alone keeps the legacy 2% drop/dup demo;
-  // any explicit knob switches to exactly the requested plan (unset knobs
-  // default to off).
-  const std::uint64_t fault_seed = static_cast<std::uint64_t>(
-      args.get_int("net-fault-seed", 0));
-  const bool explicit_plan = args.has("net-fault-drop") ||
-                             args.has("net-fault-dup") ||
-                             args.has("net-fault-sever-after");
-  if (explicit_plan) {
-    run.tcp.fault.seed = fault_seed ? fault_seed : 1;
-    run.tcp.fault.drop = args.get_double("net-fault-drop", 0.0);
-    run.tcp.fault.duplicate = args.get_double("net-fault-dup", 0.0);
-    run.tcp.fault.sever_after = args.get_int("net-fault-sever-after", -1);
-    run.tcp.ack_timeout_ms = 20;
-  } else if (fault_seed) {
-    run.tcp.fault.seed = fault_seed;
-    run.tcp.fault.drop = 0.02;
-    run.tcp.fault.duplicate = 0.02;
-    run.tcp.ack_timeout_ms = 20;
-  }
-  run.tcp.window_frames =
-      std::max(1, args.get_int("net-window", run.tcp.window_frames));
+  run.tcp.fault.sever_after = args.get_int("net-fault-sever-after", -1);
   run.resilience.max_restarts = args.get_int("max-restarts", 0);
   run.resilience.checkpoint_dir = args.get("checkpoint-dir", "");
   const int checkpoint_every = args.get_int("checkpoint-every", 0);
@@ -109,7 +81,7 @@ int main(int argc, char** argv) {
             << "\n\n";
 
   TextTable table({"halo depth k", "exchange rounds", "iterations",
-                   "messages", "MB sent", "retransmits", "restarts",
+                   "messages", "MB sent", "restarts",
                    "matches reference"});
   for (int k : {1, 2, 4, 8, 16}) {
     DistributedOptions opt;
@@ -128,16 +100,11 @@ int main(int argc, char** argv) {
                TextTable::num(static_cast<std::int64_t>(r.iterations)),
                TextTable::num(static_cast<std::int64_t>(r.comm.messages_sent)),
                TextTable::num(static_cast<double>(r.comm.bytes_sent) / 1e6, 2),
-               TextTable::num(static_cast<std::int64_t>(r.net.retransmits)),
                TextTable::num(static_cast<std::int64_t>(r.restarts)),
                r.field.same_interior(reference) ? "yes" : "NO"});
   }
   table.print(std::cout);
   std::cout << "\nDeeper halos trade redundant border computation for "
                "fewer (larger) messages — the paper's §II.B trade-off.\n";
-  if (fault_seed)
-    std::cout << "Injected faults (seed " << fault_seed
-              << ") were absorbed by the wire protocol's ack/retransmit "
-                 "loop; the grids above still match the reference.\n";
   return 0;
 }

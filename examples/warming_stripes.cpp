@@ -37,11 +37,11 @@ int main(int argc, char** argv) {
   const Args args(argc, argv, {"spawn"});
   const auto unknown = args.unknown_options(
       {"ranks", "transport", "spawn", "spill-bytes", "sever-after",
-       "net-window", "trace", "metrics-port", "metrics-port-file"});
+       "trace", "metrics-port", "metrics-port-file"});
   if (!unknown.empty()) {
     std::cerr << "unknown option --" << unknown.front()
               << " (try --ranks N --transport inproc|tcp --spawn "
-                 "--spill-bytes B --sever-after K --net-window W "
+                 "--spill-bytes B --sever-after K "
                  "--trace FILE --metrics-port P --metrics-port-file FILE)\n";
     return 2;
   }
@@ -73,8 +73,6 @@ int main(int argc, char** argv) {
     dcfg.options.reduce_workers = 2;
     dcfg.options.spill_buffer_bytes =
         static_cast<std::size_t>(args.get_int("spill-bytes", 0));
-    dcfg.options.run.tcp.window_frames = std::max(
-        1, args.get_int("net-window", dcfg.options.run.tcp.window_frames));
     // Cluster telemetry (README "Watching a cluster run"): --trace writes
     // one merged clock-corrected Perfetto trace; --metrics-port serves the
     // rank-labeled Prometheus rollup live at /metrics while the job runs.
@@ -96,8 +94,6 @@ int main(int argc, char** argv) {
       dcfg.options.run.spawn = true;
       dcfg.options.run.transport = mpp::TransportKind::kTcp;
       dcfg.options.run.resilience.max_restarts = 3;
-      dcfg.options.run.tcp.ack_timeout_ms = 20;
-      dcfg.options.run.tcp.fault.seed = 7;
       dcfg.options.run.tcp.fault.sever_after = sever_after;
     }
     const AnnualSeries dmr_series = annual_means_dmr(data, dcfg);

@@ -1,26 +1,28 @@
 // Calibration: fit machine-model edge parameters from measured obs metrics.
 //
-// The ground truth is the transport's own telemetry: `net.rtt_ns` and
-// `net.frame_bytes` histograms recorded by the TCP backend (obs keeps exact
-// sums, so histogram means are exact). Each metric snapshot taken after a
-// run at one frame size yields one calibration point (mean bytes, mean RTT);
-// two or more points at distinct sizes resolve the classic linear cost model
+// The ground truth is the transport's own telemetry: the `net.delivery_ns`
+// and `net.frame_bytes` histograms recorded by the TCP backend (obs keeps
+// exact sums, so histogram means are exact). `net.delivery_ns` is one-way:
+// the receiver's steady-clock reading minus the sender's stamp in the frame
+// header, which is meaningful because every rank of a world runs on one
+// host. Each metric snapshot taken after a run at one frame size yields one
+// calibration point (mean bytes, mean delivery time); two or more points at
+// distinct sizes resolve the classic linear cost model
 //
-//     rtt_s(bytes) = 2 * latency_s + bytes / bytes_per_s
+//     delivery_s(bytes) = latency_s + bytes / bytes_per_s
 //
 // by least squares, each point weighted by its frame count (a point is a
 // mean over that many samples, so its variance shrinks with the count): the
-// slope is the inverse bottleneck bandwidth, the intercept twice the
-// one-way latency (the ack is assumed empty). The fit is
-// applied to the NIC edges of every group — the NIC is the only edge the
-// transport exercises — and the fabric inherits the fitted bandwidth with
-// zero latency, so a one-way prediction through nic -> fabric -> nic costs
-// exactly intercept/2 + bytes/bandwidth.
+// slope is the inverse bottleneck bandwidth, the intercept the one-way
+// latency. The fit is applied to the NIC edges of every group — the NIC is
+// the only edge the transport exercises — and the fabric inherits the
+// fitted bandwidth with zero latency, so a one-way prediction through
+// nic -> fabric -> nic costs exactly intercept + bytes/bandwidth.
 //
 // Contract: snapshots missing either histogram, with zero observations, or
 // with corrupt (negative) sums throw peachy::Error — calibration never
-// guesses. Fits that do not resolve a positive bandwidth (non-increasing RTT
-// with size, or all points at one size) also throw.
+// guesses. Fits that do not resolve a positive bandwidth (delivery time not
+// growing with size, or all points at one size) also throw.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +36,7 @@ namespace peachy::machine {
 /// One measured operating point, derived from one metric snapshot.
 struct CalibrationPoint {
   double mean_frame_bytes = 0.0;
-  double mean_rtt_s = 0.0;
+  double mean_delivery_s = 0.0;
   std::uint64_t frames = 0;
 };
 
@@ -42,15 +44,15 @@ struct CalibrationPoint {
 /// Throws peachy::Error when the snapshot is unusable (see file comment).
 CalibrationPoint calibration_point(const std::vector<obs::MetricSample>& snapshot);
 
-/// A fitted link with the fit quality: largest absolute RTT residual over
-/// the input points, in seconds.
+/// A fitted link with the fit quality: largest absolute delivery-time
+/// residual over the input points, in seconds.
 struct LinkFit {
   LinkSpec link;
   double max_residual_s = 0.0;
   int points = 0;
 };
 
-/// Least-squares fit of the linear RTT model over >= 2 points at distinct
+/// Least-squares fit of the linear delivery model over >= 2 points at distinct
 /// frame sizes. Throws peachy::Error when underdetermined or when the fit
 /// yields a non-positive bandwidth.
 LinkFit fit_link(const std::vector<CalibrationPoint>& points);

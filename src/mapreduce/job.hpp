@@ -223,7 +223,7 @@ class Job {
     job_span.arg("splits", splits);
     job_span.arg("partitions", partitions);
     obs::Span map_span("mr.map", "mr");
-    const int max_retries = std::max(0, config_.max_task_retries);
+    const int task_retries = std::max(0, config_.max_task_retries);
     std::vector<TaskOutput> task_out(static_cast<std::size_t>(splits));
     std::vector<std::size_t> map_out(static_cast<std::size_t>(splits), 0);
     std::vector<std::size_t> comb_out(static_cast<std::size_t>(splits), 0);
@@ -291,7 +291,7 @@ class Job {
           }
     };
     run_tasks_with_retries("map", static_cast<std::size_t>(splits),
-                           max_retries, config_.map_workers, arena,
+                           task_retries, config_.map_workers, arena,
                            run_map_split, counters_.map_task_retries);
     for (int s = 0; s < splits; ++s) {
       counters_.map_outputs += map_out[static_cast<std::size_t>(s)];
@@ -353,7 +353,7 @@ class Job {
             shuffled_bytes[p] +=
                 detail::approx_bytes((*best->records)[best->pos].first) +
                 detail::approx_bytes((*best->records)[best->pos].second);
-            if (max_retries > 0)
+            if (task_retries > 0)
               part.push_back((*best->records)[best->pos]);
             else
               part.push_back(std::move((*best->records)[best->pos]));
@@ -394,7 +394,7 @@ class Job {
           }
     };
     run_tasks_with_retries("reduce", static_cast<std::size_t>(partitions),
-                           max_retries, config_.reduce_workers, arena,
+                           task_retries, config_.reduce_workers, arena,
                            run_reduce_partition,
                            counters_.reduce_task_retries);
 
@@ -436,12 +436,12 @@ class Job {
   // per-task root causes.
   template <typename TaskFn>
   void run_tasks_with_retries(const char* phase, std::size_t n,
-                              int max_retries, int workers, TaskArena& arena,
+                              int task_retries, int workers, TaskArena& arena,
                               const TaskFn& task,
                               std::size_t& retry_counter) {
     std::vector<std::uint8_t> done(n, 0);
     std::vector<std::string> errors(n);
-    for (int attempt = 0; attempt <= max_retries; ++attempt) {
+    for (int attempt = 0; attempt <= task_retries; ++attempt) {
       std::vector<std::size_t> pending;
       for (std::size_t i = 0; i < n; ++i)
         if (!done[i]) pending.push_back(i);
@@ -486,7 +486,7 @@ class Job {
       obs::Registry::global().counter("mr.task_failures").add(failed);
     throw Error("mapreduce: " + std::to_string(failed) + " " + phase +
                 " task(s) still failing after " +
-                std::to_string(max_retries + 1) + " attempt(s):" + detail);
+                std::to_string(task_retries + 1) + " attempt(s):" + detail);
   }
 
   Mapper mapper_;

@@ -315,14 +315,9 @@ net::WorkerReport run_rank(Comm& comm, const std::string& ckpt_dir,
   report.bytes_sent = comm.stats().bytes_sent;
   if (const auto* tcp = dynamic_cast<net::TcpTransport*>(&comm.transport())) {
     const net::TcpTransport::Stats net = tcp->stats();
-    report.retransmits = net.retransmits;
     report.window_stalls = net.window_stalls;
-    report.acks_sent = net.acks_sent;
     report.frames_abandoned = net.frames_abandoned;
-    report.fault_dropped = net.fault.dropped;
-    report.fault_duplicated = net.fault.duplicated;
-    report.fault_delayed = net.fault.delayed;
-    report.fault_severed = net.fault.severed;
+    report.fault_severed = net.fault_severed;
   }
   if (comm.rank() == 0) report.result = comm.take_result();
   return report;
@@ -346,13 +341,8 @@ int fold_ranks(std::vector<net::WorkerReport>& reports, RunOutcome& out) {
       root = static_cast<int>(r);
     out.comm.messages_sent += rep.messages_sent;
     out.comm.bytes_sent += rep.bytes_sent;
-    out.net.retransmits += rep.retransmits;
     out.net.window_stalls += rep.window_stalls;
-    out.net.acks_sent += rep.acks_sent;
     out.net.frames_abandoned += rep.frames_abandoned;
-    out.net.fault_dropped += rep.fault_dropped;
-    out.net.fault_duplicated += rep.fault_duplicated;
-    out.net.fault_delayed += rep.fault_delayed;
     out.net.fault_severed += rep.fault_severed;
   }
   out.rank0_result = std::move(reports[0].result);
@@ -456,7 +446,6 @@ constexpr const char* kEnvWorld = "PEACHY_MPP_WORLD";
 constexpr const char* kEnvPort = "PEACHY_MPP_RENDEZVOUS_PORT";
 constexpr const char* kEnvFault = "PEACHY_MPP_FAULT";
 constexpr const char* kEnvCkpt = "PEACHY_MPP_CKPT_DIR";
-constexpr const char* kEnvWindow = "PEACHY_MPP_NET_WINDOW";
 constexpr const char* kEnvTelemetryMs = "PEACHY_MPP_TELEMETRY_MS";
 constexpr const char* kEnvTrace = "PEACHY_MPP_TRACE";
 constexpr const char* kEnvMetricsPort = "PEACHY_MPP_METRICS_PORT";
@@ -545,8 +534,6 @@ constexpr auto kWatchdogPoll = std::chrono::milliseconds(20);
   net::TcpOptions tcp = options.tcp;
   if (const char* fault_env = std::getenv(kEnvFault))
     tcp.fault = net::FaultPlan::decode(fault_env);
-  if (const char* window_env = std::getenv(kEnvWindow))
-    tcp.window_frames = std::max(1, std::atoi(window_env));
   const char* ckpt_env = std::getenv(kEnvCkpt);
   Telemetry telemetry;  // env wins over the call site's default
   if (const char* ms_env = std::getenv(kEnvTelemetryMs)) {
@@ -616,8 +603,7 @@ RunOutcome spawn_attempt(int ranks, const RunOptions& options,
               {kEnvRank, std::to_string(rank)},
               {kEnvWorld, std::to_string(ranks)},
               {kEnvPort, std::to_string(port)},
-              {kEnvFault, tcp.fault.encode()},
-              {kEnvWindow, std::to_string(tcp.window_frames)}};
+              {kEnvFault, tcp.fault.encode()}};
           if (!ckpt_dir.empty()) env.emplace_back(kEnvCkpt, ckpt_dir);
           if (!control.flight_dir.empty())
             env.emplace_back("PEACHY_FLIGHT_DIR", control.flight_dir);

@@ -13,9 +13,9 @@
 //  * inproc — ranks are threads, messages are memcpys into mailboxes.
 //    Fast, cost-free communication; the default.
 //  * tcp    — ranks are threads but every message crosses a real loopback
-//    socket through peachy_net's framed, CRC-checked, acked wire protocol
-//    (net/tcp.hpp). Communication has genuine latency and the fault
-//    injector can drop/delay/duplicate frames or sever links.
+//    socket through peachy_net's framed, CRC-checked wire protocol
+//    (net/tcp.hpp). Communication has genuine latency and a fault plan can
+//    sever links.
 //  * spawned — RunOptions::spawn forks real worker *processes* wired up by
 //    a rendezvous server; the ghost-cell trade-off runs against separate
 //    address spaces, like the MPI original.
@@ -64,16 +64,15 @@ struct CommStats {
 
 /// Frame-level counters from the tcp substrate (zero under inproc).
 struct NetStats {
+  /// Always 0: the transport has no retransmits or acks of its own (TCP
+  /// does that). Kept until the benchmark stops reading them.
   std::uint64_t retransmits = 0;
-  std::uint64_t window_stalls = 0;  ///< sends that blocked on a full window
-  std::uint64_t acks_sent = 0;      ///< cumulative acks, pure + piggybacked
-  /// send()-accepted frames never confirmed before shutdown()'s bounded
-  /// drain expired (the affected peers are marked dead).
+  std::uint64_t window_stalls = 0;  ///< sends that parked on a full outbox
+  std::uint64_t acks_sent = 0;      ///< always 0, see `retransmits`
+  /// Frames still queued when shutdown()'s bounded drain expired (the
+  /// affected peers are marked dead).
   std::uint64_t frames_abandoned = 0;
-  std::uint64_t fault_dropped = 0;
-  std::uint64_t fault_duplicated = 0;
-  std::uint64_t fault_delayed = 0;
-  std::uint64_t fault_severed = 0;
+  std::uint64_t fault_severed = 0;  ///< links the fault plan severed
 };
 
 /// Recovery policy for a supervised world (mpp::run_world). With
@@ -163,7 +162,7 @@ struct RunOptions {
   /// body).
   bool spawn = false;
   std::vector<std::string> worker_argv;
-  /// Socket timeouts, retry budget, and fault plan for the tcp substrate.
+  /// Socket timeouts and fault plan for the tcp substrate.
   net::TcpOptions tcp;
   /// Checkpoint/restart policy; inert by default.
   Resilience resilience;

@@ -1,139 +1,28 @@
 #include "net/fault.hpp"
 
-#include <cerrno>
 #include <charconv>
-#include <cstdlib>
-#include <sstream>
-#include <vector>
 
 #include "core/error.hpp"
-#include "core/rng.hpp"
 
 namespace peachy::net {
 
-namespace {
+std::string FaultPlan::encode() const { return std::to_string(sever_after); }
 
 // The encoding travels through one environment variable into exec'd
-// workers, so decode() must treat it as untrusted input: a truncated or
-// hand-edited plan has to fail loudly instead of silently zeroing fields
-// (a worker running with *no* faults when the launcher injects them would
-// desynchronize every seeded-fault test).
-
-[[noreturn]] void bad_plan(const std::string& text, const std::string& why) {
-  throw Error("bad fault plan encoding \"" + text + "\": " + why);
-}
-
-std::vector<std::string> split_fields(const std::string& text) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  for (;;) {
-    const std::size_t colon = text.find(':', start);
-    if (colon == std::string::npos) {
-      fields.push_back(text.substr(start));
-      return fields;
-    }
-    fields.push_back(text.substr(start, colon - start));
-    start = colon + 1;
-  }
-}
-
-template <typename Int>
-Int parse_int(const std::string& text, const std::string& field,
-              const std::string& value) {
-  Int out{};
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size())
-    bad_plan(text, field + " \"" + value + "\" is not an integer");
-  return out;
-}
-
-double parse_probability(const std::string& text, const std::string& field,
-                         const std::string& value) {
-  if (value.empty()) bad_plan(text, field + " is empty");
-  errno = 0;
-  char* end = nullptr;
-  const double p = std::strtod(value.c_str(), &end);
-  if (errno != 0 || end != value.c_str() + value.size())
-    bad_plan(text, field + " \"" + value + "\" is not a number");
-  if (!(p >= 0.0 && p <= 1.0))
-    bad_plan(text, field + " " + value + " is outside [0, 1]");
-  return p;
-}
-
-}  // namespace
-
-std::string FaultPlan::encode() const {
-  std::ostringstream os;
-  os.precision(17);  // doubles survive the env-var round trip bit-exactly
-  os << seed << ":" << drop << ":" << duplicate << ":" << delay << ":"
-     << delay_ms << ":" << sever_after;
-  return os.str();
-}
-
+// workers, so decode() treats it as untrusted input: a truncated or
+// hand-edited plan fails loudly instead of silently running a worker with
+// no faults while the launcher injects them.
 FaultPlan FaultPlan::decode(const std::string& text) {
-  const std::vector<std::string> fields = split_fields(text);
-  if (fields.size() != 6)
-    bad_plan(text, "expected 6 ':'-separated fields "
-                   "(seed:drop:dup:delay:delay_ms:sever_after), got " +
-                       std::to_string(fields.size()));
   FaultPlan plan;
-  plan.seed = parse_int<std::uint64_t>(text, "seed", fields[0]);
-  plan.drop = parse_probability(text, "drop probability", fields[1]);
-  plan.duplicate = parse_probability(text, "duplicate probability", fields[2]);
-  plan.delay = parse_probability(text, "delay probability", fields[3]);
-  plan.delay_ms = parse_int<int>(text, "delay_ms", fields[4]);
-  if (plan.delay_ms < 0)
-    bad_plan(text, "delay_ms " + fields[4] + " is negative");
-  plan.sever_after = parse_int<std::int64_t>(text, "sever_after", fields[5]);
+  const auto [ptr, ec] = std::from_chars(
+      text.data(), text.data() + text.size(), plan.sever_after);
+  if (text.empty() || ec != std::errc{} || ptr != text.data() + text.size())
+    throw Error("bad fault plan encoding \"" + text +
+                "\": sever_after is not an integer");
   if (plan.sever_after < -1)
-    bad_plan(text, "sever_after " + fields[5] + " must be >= -1");
+    throw Error("bad fault plan encoding \"" + text +
+                "\": sever_after must be >= -1");
   return plan;
-}
-
-FaultInjector::FaultInjector(const FaultPlan& plan, int src, int dst)
-    : plan_(plan) {
-  std::uint64_t s = plan.seed;
-  stream_ = splitmix64(s) ^ (static_cast<std::uint64_t>(src) << 32 |
-                             static_cast<std::uint32_t>(dst));
-}
-
-FaultInjector::Decision FaultInjector::next() {
-  const std::uint64_t index = frame_++;
-  Decision d;
-  if (!plan_.active()) return d;
-  if (plan_.sever_after >= 0 &&
-      index >= static_cast<std::uint64_t>(plan_.sever_after)) {
-    d.sever = true;
-    // The transport closes the link on the first sever; count the event
-    // once even if it (defensively) asks again.
-    if (index == static_cast<std::uint64_t>(plan_.sever_after))
-      ++counters_.severed;
-    return d;
-  }
-  // One hash per fault class so the probabilities are independent; the
-  // state is (stream, frame index), never wall time or thread order.
-  std::uint64_t h = stream_ + index * 0x9e3779b97f4a7c15ULL;
-  const auto roll = [&h] {
-    return static_cast<double>(splitmix64(h) >> 11) * 0x1.0p-53;
-  };
-  if (roll() < plan_.drop) {
-    d.drop = true;
-    ++counters_.dropped;
-    // A dropped frame is neither delayed nor duplicated — and in the
-    // windowed transport it must not be: a dropped frame's only wire copy
-    // is the retransmission, which is judged exactly zero times.
-    return d;
-  }
-  if (roll() < plan_.duplicate) {
-    d.duplicate = true;
-    ++counters_.duplicated;
-  }
-  if (roll() < plan_.delay) {
-    d.delay_ms = plan_.delay_ms;
-    ++counters_.delayed;
-  }
-  return d;
 }
 
 }  // namespace peachy::net

@@ -1,26 +1,13 @@
-// Deterministic fault injection for the TCP transport.
+// Fault injection for the TCP transport: severing links on cue.
 //
-// The injector sits on the *send* path of every connection and decides, per
-// fresh data frame, whether to drop it, delay it, duplicate it, or sever
-// the connection outright. Decisions are a pure function of
-// (seed, src, dst, frame index), so a seeded run injects the exact same
-// faults every time regardless of thread or process scheduling — which is
-// what makes fault-injection tests reproducible. Retransmissions bypass the
-// injector: a frame is judged once.
-//
-// Under the pipelined (sliding-window) transport the decisions act on
-// individual frames of an in-flight stream, never on the sender thread:
-//  * drop      — the first copy is never staged; the per-peer retransmit
-//                timer recovers it without stalling the rest of the window.
-//  * delay     — the frame is *held* (a hold-until timestamp) and written
-//                late by the reader thread while newer frames go out on
-//                time, creating genuine reordering on the wire; sleeping
-//                the sender would instead delay the whole window.
-//  * duplicate — both copies go out in the same writev batch; the
-//                receiver's cumulative-seq bookkeeping (and its
-//                reassembly map for out-of-order duplicates) guarantees a
-//                payload is delivered at most once.
-//  * sever     — the link is hard-closed and the send throws PeerDied.
+// The transport never reconnects, so the one fault worth injecting is the
+// one the runtime must recover from: a link that dies mid-run. A plan names
+// the data frame after which every link is hard-closed; each direction of
+// each link counts its own frames (the frame's `seq`), so the sever point
+// is a pure function of the plan and the message pattern, never of thread
+// or process scheduling. The send that reaches it shuts the socket down
+// and throws PeerDied, and the peer sees the connection drop without a
+// GOODBYE. Supervised worlds (mpp::Resilience) restart from a checkpoint.
 #pragma once
 
 #include <cstdint>
@@ -28,55 +15,22 @@
 
 namespace peachy::net {
 
-/// What to inject, with which probabilities. Inactive unless `seed` != 0.
+/// When to sever. Inactive unless `sever_after` >= 0.
 struct FaultPlan {
-  std::uint64_t seed = 0;        ///< 0 disables the injector entirely
-  double drop = 0.0;             ///< P(frame is never written)
-  double duplicate = 0.0;        ///< P(frame is written twice)
-  double delay = 0.0;            ///< P(frame is written late)
-  int delay_ms = 2;              ///< how late
-  std::int64_t sever_after = -1; ///< hard-close after this many frames (-1 off)
+  std::int64_t sever_after = -1;  ///< hard-close after this many frames
 
-  bool active() const {
-    return seed != 0 &&
-           (drop > 0 || duplicate > 0 || delay > 0 || sever_after >= 0);
+  bool active() const { return sever_after >= 0; }
+
+  /// Whether the link's data frame number `frame` (0-based, one count per
+  /// direction) is the sever point or past it.
+  bool severs(std::uint64_t frame) const {
+    return active() && frame >= static_cast<std::uint64_t>(sever_after);
   }
 
-  /// Round-trips through a string so spawned (exec'd) workers inherit the
-  /// plan via one environment variable.
+  /// Round-trips through a string (one integer) so exec'd workers inherit
+  /// the plan via one environment variable.
   std::string encode() const;
   static FaultPlan decode(const std::string& text);
-};
-
-/// Per-connection decision stream. One instance per (src, dst) direction.
-class FaultInjector {
- public:
-  struct Decision {
-    bool drop = false;
-    bool duplicate = false;
-    bool sever = false;
-    int delay_ms = 0;
-  };
-
-  struct Counters {
-    std::uint64_t dropped = 0;
-    std::uint64_t duplicated = 0;
-    std::uint64_t delayed = 0;
-    std::uint64_t severed = 0;
-  };
-
-  FaultInjector(const FaultPlan& plan, int src, int dst);
-
-  /// Judges the next fresh data frame and advances the stream.
-  Decision next();
-
-  const Counters& counters() const { return counters_; }
-
- private:
-  FaultPlan plan_;
-  std::uint64_t stream_;   // hash of (seed, src, dst)
-  std::uint64_t frame_ = 0;
-  Counters counters_;
 };
 
 }  // namespace peachy::net

@@ -1,6 +1,7 @@
 #include "net/process.hpp"
 
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -58,10 +59,19 @@ pid_t ProcessLauncher::spawn_one(int rank) {
   sigemptyset(&term);
   sigaddset(&term, SIGTERM);
   ::pthread_sigmask(SIG_BLOCK, &term, &parent_mask);
+  const pid_t launcher = ::getpid();
   const pid_t pid = ::fork();
   if (pid != 0) ::pthread_sigmask(SIG_SETMASK, &parent_mask, nullptr);
   PEACHY_REQUIRE(pid >= 0, "fork failed: " << std::strerror(errno));
   if (pid == 0) {
+    // A worker never outlives its launcher: SIGKILL it when the launcher
+    // dies (a SIGKILLed peachyd or ctest included), and exit if that
+    // already happened before the request was in place. The signal follows
+    // the *forking thread*, not the process; run_world's calling thread
+    // forks and also reaps, so it outlives its workers. The setting
+    // survives exec.
+    ::prctl(PR_SET_PDEATHSIG, SIGKILL);
+    if (::getppid() != launcher) ::_exit(1);
     if (limits_.any()) apply_child_limits(limits_);
     if (fork_recipe_) {
       int code = 1;

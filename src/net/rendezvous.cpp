@@ -181,9 +181,8 @@ std::vector<std::byte> encode_report(const WorkerReport& r) {
   std::vector<std::byte> out;
   out.push_back(static_cast<std::byte>(r.ok ? 1 : 0));
   for (const std::uint64_t v :
-       {r.messages_sent, r.bytes_sent, r.retransmits, r.window_stalls,
-        r.acks_sent, r.frames_abandoned, r.fault_dropped, r.fault_duplicated,
-        r.fault_delayed, r.fault_severed})
+       {r.messages_sent, r.bytes_sent, r.window_stalls, r.frames_abandoned,
+        r.fault_severed})
     bytes::append_u64(out, v);
   bytes::append_string(out, r.error);
   bytes::append_u32(out, static_cast<std::uint32_t>(r.result.size()));
@@ -197,9 +196,8 @@ WorkerReport decode_report(std::span<const std::byte> payload) {
   r.reported = true;
   r.ok = in.u8() != 0;
   for (std::uint64_t* v :
-       {&r.messages_sent, &r.bytes_sent, &r.retransmits, &r.window_stalls,
-        &r.acks_sent, &r.frames_abandoned, &r.fault_dropped,
-        &r.fault_duplicated, &r.fault_delayed, &r.fault_severed})
+       {&r.messages_sent, &r.bytes_sent, &r.window_stalls,
+        &r.frames_abandoned, &r.fault_severed})
     *v = in.u64();
   r.error = in.string();
   const std::span<const std::byte> result = in.take(in.u32());

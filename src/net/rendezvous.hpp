@@ -31,13 +31,8 @@ struct WorkerReport {
   std::string error;
   std::uint64_t messages_sent = 0;
   std::uint64_t bytes_sent = 0;
-  std::uint64_t retransmits = 0;
   std::uint64_t window_stalls = 0;
-  std::uint64_t acks_sent = 0;
   std::uint64_t frames_abandoned = 0;
-  std::uint64_t fault_dropped = 0;
-  std::uint64_t fault_duplicated = 0;
-  std::uint64_t fault_delayed = 0;
   std::uint64_t fault_severed = 0;
   std::vector<std::byte> result;  ///< rank 0's result blob, empty elsewhere
 };

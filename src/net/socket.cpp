@@ -156,50 +156,6 @@ void Socket::send_all(const void* data, std::size_t n, int timeout_ms) const {
   }
 }
 
-void Socket::sendv_all(struct iovec* iov, int iovcnt, int timeout_ms) const {
-  // msghdr + MSG_NOSIGNAL (writev would raise SIGPIPE on a dead peer).
-  // The kernel caps iovecs per call at IOV_MAX (>= 1024); larger batches
-  // just take more than one sendmsg.
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  while (iovcnt > 0) {
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<std::size_t>(std::min(iovcnt, 1024));
-    const ssize_t w = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        PEACHY_REQUIRE(poll_one(fd_, POLLOUT, remaining_ms(deadline)),
-                       "sendmsg timed out after " << timeout_ms << " ms ("
-                           << iovcnt << " iovecs still unwritten)");
-        continue;
-      }
-      throw Error(std::string("sendmsg failed: ") + std::strerror(errno));
-    }
-    // Advance past fully written iovecs, then trim the partial one.
-    std::size_t left = static_cast<std::size_t>(w);
-    while (iovcnt > 0 && left >= iov->iov_len) {
-      left -= iov->iov_len;
-      ++iov;
-      --iovcnt;
-    }
-    if (iovcnt > 0 && left > 0) {
-      iov->iov_base = static_cast<char*>(iov->iov_base) + left;
-      iov->iov_len -= left;
-    }
-  }
-}
-
-ssize_t Socket::send_some(const void* data, std::size_t n) const {
-  for (;;) {
-    const ssize_t w = ::send(fd_, data, n, MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (w >= 0) return w;
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) return -1;
-    throw Error(std::string("send failed: ") + std::strerror(errno));
-  }
-}
-
 ssize_t Socket::sendv_some(const struct iovec* iov, int iovcnt) const {
   msghdr msg{};
   msg.msg_iov = const_cast<struct iovec*>(iov);

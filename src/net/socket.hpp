@@ -66,21 +66,11 @@ class Socket {
   void send_all(const void* data, std::size_t n,
                 int timeout_ms = 30000) const;
 
-  /// Scatter-gather write: sends every iovec completely, in order, with as
-  /// few syscalls as the kernel allows. The zero-copy framing path — a
-  /// header iovec plus a payload iovec per frame, so neither headers nor
-  /// payloads are ever copied into an intermediate contiguous buffer.
-  /// `iov` is clobbered (advanced past written bytes). Throws like
-  /// send_all on a broken connection or an expired deadline.
-  void sendv_all(struct iovec* iov, int iovcnt, int timeout_ms = 30000) const;
-
-  /// One non-blocking write attempt (MSG_DONTWAIT): returns the byte count
-  /// the kernel accepted, or -1 when its buffer is full right now. Throws
-  /// Error when the connection breaks. Never blocks — the backpressure
-  /// path of the transport, which must not park a thread mid-write.
-  ssize_t send_some(const void* data, std::size_t n) const;
-  /// Scatter-gather flavor of send_some: one non-blocking sendmsg over up
-  /// to IOV_MAX iovecs; -1 means the kernel buffer is full.
+  /// One non-blocking scatter-gather write attempt (sendmsg with
+  /// MSG_DONTWAIT over up to IOV_MAX iovecs): returns the byte count the
+  /// kernel accepted, or -1 when its buffer is full right now. Throws
+  /// Error when the connection breaks. Never blocks — the transport's
+  /// write path, which must not park a thread mid-write.
   ssize_t sendv_some(const struct iovec* iov, int iovcnt) const;
 
   /// Reads exactly `n` bytes. Returns false on clean EOF *before the first

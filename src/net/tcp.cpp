@@ -21,12 +21,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Frames parked out of order beyond this distance from recv_next are
-/// stream corruption, not reassembly work (the sender's window can never
-/// legitimately run this far ahead).
-constexpr std::uint64_t kMaxReassemblyGap = 1u << 16;
-/// Bytes drained from one socket before the other sockets get a turn
-/// (and before the burst's single cumulative ack goes out).
+/// Bytes drained from one socket before the other sockets get a turn.
 constexpr std::size_t kMaxBurstBytes = 4u << 20;
 
 obs::Counter& obs_frames_sent() {
@@ -38,32 +33,19 @@ obs::Counter& obs_frames_received() {
       obs::Registry::global().counter("net.frames_received");
   return c;
 }
-obs::Counter& obs_retransmits() {
-  static obs::Counter& c = obs::Registry::global().counter("net.retransmits");
-  return c;
-}
 obs::Counter& obs_window_stalls() {
   static obs::Counter& c =
       obs::Registry::global().counter("net.window_stalls");
   return c;
-}
-obs::Counter& obs_cumulative_acks() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("net.cumulative_acks");
-  return c;
-}
-obs::Histogram& obs_coalesced_frames() {
-  static obs::Histogram& h =
-      obs::Registry::global().histogram("net.coalesced_frames_per_writev");
-  return h;
 }
 obs::Histogram& obs_frame_bytes() {
   static obs::Histogram& h =
       obs::Registry::global().histogram("net.frame_bytes");
   return h;
 }
-obs::Histogram& obs_rtt_ns() {
-  static obs::Histogram& h = obs::Registry::global().histogram("net.rtt_ns");
+obs::Histogram& obs_delivery_ns() {
+  static obs::Histogram& h =
+      obs::Registry::global().histogram("net.delivery_ns");
   return h;
 }
 obs::Counter& obs_frames_abandoned() {
@@ -90,8 +72,6 @@ TcpTransport::TcpTransport(int rank, int world, int rendezvous_port,
   PEACHY_REQUIRE(world >= 1, "tcp world needs >= 1 rank, got " << world);
   PEACHY_REQUIRE(rank >= 0 && rank < world,
                  "bad rank " << rank << " for world of " << world);
-  PEACHY_REQUIRE(opt_.window_frames >= 1,
-                 "window_frames must be >= 1, got " << opt_.window_frames);
   obs::Span connect_span("net.connect", "net");
   connect_span.arg("rank", rank);
   connect_span.arg("world", world);
@@ -105,12 +85,7 @@ TcpTransport::TcpTransport(int rank, int world, int rendezvous_port,
   const auto make_peer = [&](int r, Socket sock) {
     auto p = std::make_unique<Peer>();
     p->sock = std::move(sock);
-    p->send_seq = opt_.first_seq;
-    p->recv_next = opt_.first_seq;
-    p->last_ack_sent = opt_.first_seq;
     p->last_rx = Clock::now();  // the handshake just proved liveness
-    if (opt_.fault.active())
-      p->fault = std::make_unique<FaultInjector>(opt_.fault, rank_, r);
     peers_[static_cast<std::size_t>(r)] = std::move(p);
   };
 
@@ -214,46 +189,39 @@ void TcpTransport::mark_dead(int src, const std::string& why, bool graceful) {
   }
 }
 
-void TcpTransport::write_or_queue(int r, struct iovec* iov,
-                                  std::size_t iovcnt) {
+void TcpTransport::write_or_queue(int r, struct iovec* iov, int iovcnt) {
   Peer& p = peer(r);
-  std::size_t idx = 0;
-  if (p.outbox_off == p.outbox.size()) {  // nothing queued: try the kernel
-    p.outbox.clear();
-    p.outbox_off = 0;
-    while (idx < iovcnt) {
-      const ssize_t w = p.sock.sendv_some(
-          iov + idx,
-          static_cast<int>(std::min<std::size_t>(iovcnt - idx, 1024)));
-      if (w < 0) break;  // kernel send buffer full: queue the rest
-      std::size_t left = static_cast<std::size_t>(w);
-      while (idx < iovcnt && left >= iov[idx].iov_len) {
-        left -= iov[idx].iov_len;
-        ++idx;
-      }
-      if (idx < iovcnt && left > 0) {
-        iov[idx].iov_base = static_cast<char*>(iov[idx].iov_base) + left;
-        iov[idx].iov_len -= left;
+  std::size_t left = 0;
+  for (int i = 0; i < iovcnt; ++i) left += iov[i].iov_len;
+  // Behind a non-empty outbox the frame queues whole, keeping byte order.
+  while (p.outbox.empty() && left > 0) {
+    const ssize_t w = p.sock.sendv_some(iov, iovcnt);
+    if (w < 0) break;  // kernel send buffer full: queue the rest
+    left -= static_cast<std::size_t>(w);
+    for (std::size_t done = static_cast<std::size_t>(w); done > 0;) {
+      const std::size_t step = std::min(done, iov->iov_len);
+      iov->iov_base = static_cast<char*>(iov->iov_base) + step;
+      iov->iov_len -= step;
+      done -= step;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --iovcnt;
       }
     }
-    if (idx == iovcnt) return;
   }
+  if (left == 0) return;
   // Backpressure: the refused tail is copied so it outlives the caller —
-  // the one place framing gives up zero-copy, bounded by the window. New
-  // writes behind a non-empty outbox queue in full to keep the byte order.
-  if (p.outbox_off > 0) {
-    p.outbox.erase(
-        p.outbox.begin(),
-        p.outbox.begin() + static_cast<std::ptrdiff_t>(p.outbox_off));
-    p.outbox_off = 0;
-  }
-  for (std::size_t i = idx; i < iovcnt; ++i) {
+  // the one place framing gives up zero-copy, bounded by kOutboxBoundBytes.
+  std::vector<std::byte> tail;
+  tail.reserve(left);
+  for (int i = 0; i < iovcnt; ++i) {
     const auto* b = static_cast<const std::byte*>(iov[i].iov_base);
-    p.outbox.insert(p.outbox.end(), b, b + iov[i].iov_len);
+    tail.insert(tail.end(), b, b + iov[i].iov_len);
   }
+  p.outbox.push_back(std::move(tail));
   {
     std::lock_guard lock(mu_);
-    p.outbox_pending = true;
+    p.outbox_bytes += left;
   }
   wake_reader();  // start polling this socket for POLLOUT
 }
@@ -261,27 +229,50 @@ void TcpTransport::write_or_queue(int r, struct iovec* iov,
 void TcpTransport::drain_outbox(int r) {
   Peer& p = peer(r);
   std::lock_guard wlock(p.write_mutex);
+  std::size_t written = 0;
   try {
-    while (p.outbox_off < p.outbox.size()) {
-      const ssize_t w = p.sock.send_some(p.outbox.data() + p.outbox_off,
-                                         p.outbox.size() - p.outbox_off);
-      if (w < 0) return;  // buffer filled again; POLLOUT will re-fire
-      p.outbox_off += static_cast<std::size_t>(w);
+    while (!p.outbox.empty()) {
+      struct iovec iov[64];
+      int n = 0;
+      for (auto it = p.outbox.begin(); it != p.outbox.end() && n < 64; ++it)
+        iov[n++] = {it->data(), it->size()};
+      iov[0].iov_base = p.outbox.front().data() + p.outbox_off;
+      iov[0].iov_len -= p.outbox_off;
+      ssize_t w = p.sock.sendv_some(iov, n);
+      if (w < 0) break;  // buffer filled again; POLLOUT will re-fire
+      written += static_cast<std::size_t>(w);
+      for (auto left = static_cast<std::size_t>(w); left > 0;) {
+        const std::size_t rest = p.outbox.front().size() - p.outbox_off;
+        if (left < rest) {
+          p.outbox_off += left;
+          break;
+        }
+        left -= rest;
+        p.outbox.pop_front();
+        p.outbox_off = 0;
+      }
     }
   } catch (const Error& e) {
     mark_dead(r, e.what());  // the queue dies with the connection
   }
-  p.outbox.clear();
-  p.outbox_off = 0;
-  std::lock_guard lock(mu_);
-  p.outbox_pending = false;
+  {
+    std::lock_guard lock(mu_);
+    p.outbox_bytes -= written;
+  }
+  cv_.notify_all();  // a parked sender or shutdown's drain may proceed
 }
 
-void TcpTransport::write_frame(int r, const std::vector<std::byte>& frame) {
+bool TcpTransport::write_frame(int r, const std::vector<std::byte>& frame) {
   Peer& p = peer(r);
   std::lock_guard lock(p.write_mutex);
   struct iovec one{const_cast<std::byte*>(frame.data()), frame.size()};
-  write_or_queue(r, &one, 1);
+  try {
+    write_or_queue(r, &one, 1);
+    return true;
+  } catch (const Error& e) {
+    mark_dead(r, e.what());
+    return false;
+  }
 }
 
 void TcpTransport::wake_reader() {
@@ -289,6 +280,32 @@ void TcpTransport::wake_reader() {
   const char b = 'x';
   // EAGAIN means a wake-up is already pending — exactly as good.
   [[maybe_unused]] ssize_t rc = ::write(wake_pipe_[1], &b, 1);
+}
+
+void TcpTransport::wait_for_outbox_room(int r) {
+  Peer& p = peer(r);
+  std::unique_lock lock(mu_);
+  if (!p.dead && p.outbox_bytes >= kOutboxBoundBytes) {
+    ++stats_.window_stalls;
+    if (obs::enabled()) obs_window_stalls().add(1);
+    // The reader drains the outbox whenever the peer reads; a peer that
+    // reads nothing for a whole recv timeout is as good as dead.
+    if (!cv_.wait_for(lock, std::chrono::milliseconds(opt_.recv_timeout_ms),
+                      [&] {
+                        return p.dead || p.outbox_bytes < kOutboxBoundBytes;
+                      })) {
+      lock.unlock();
+      mark_dead(r, "rank " + std::to_string(r) + " read nothing for " +
+                       std::to_string(opt_.recv_timeout_ms) +
+                       " ms while " + std::to_string(kOutboxBoundBytes) +
+                       " bytes waited in the outbox");
+      lock.lock();
+    }
+  }
+  if (p.dead) {
+    lock.unlock();
+    throw_peer_dead(r);
+  }
 }
 
 void TcpTransport::send(int dest, int tag, const void* data,
@@ -315,328 +332,69 @@ void TcpTransport::send(int dest, int tag, const void* data,
   PEACHY_REQUIRE(bytes <= kMaxPayloadBytes,
                  "payload of " << bytes << " bytes exceeds the "
                                << kMaxPayloadBytes << "-byte cap");
+  wait_for_outbox_room(dest);
 
-  Peer& p = peer(dest);
-  std::lock_guard send_lock(p.send_mutex);
-
-  // Window admission: park until the peer acks a slot free. Staged frames
-  // can't be acked, so put them on the wire before waiting.
-  const auto window = static_cast<std::size_t>(opt_.window_frames);
-  bool stalled = false;
-  {
-    std::unique_lock lock(mu_);
-    while (!p.dead && p.unacked.size() >= window) {
-      if (!stalled) {
-        stalled = true;
-        ++window_stalls_;
-        if (obs::enabled()) obs_window_stalls().add(1);
-      }
-      if (!p.staged.empty()) {
-        lock.unlock();
-        flush_peer(dest);
-        lock.lock();
-        continue;
-      }
-      // The reader's retransmit budget bounds this wait: it either frees
-      // window space (ack progress) or marks the peer dead.
-      cv_.wait_for(lock, std::chrono::milliseconds(100));
-    }
-    if (p.dead) {
-      lock.unlock();
-      throw_peer_dead(dest);
-    }
-  }
-
-  // Judge the fresh frame once, in seq order (send_mutex holds the order);
-  // retransmissions bypass the injector.
-  FaultInjector::Decision fault;
-  if (p.fault) fault = p.fault->next();
-  if (fault.sever) {
-    p.sock.shutdown_both();
-    mark_dead(dest, "fault injector severed the connection");
-    throw_peer_dead(dest);
-  }
-
-  auto f = std::make_shared<TxFrame>();
-  f->h.type = FrameType::kData;
-  f->h.src = rank_;
-  f->h.tag = tag;
-  f->h.seq = p.send_seq++;
-  f->h.len = static_cast<std::uint32_t>(bytes);
-  f->h.crc = bytes ? bytes::crc32(data, bytes) : 0;
-  f->payload.assign(static_cast<const std::byte*>(data),
-                    static_cast<const std::byte*>(data) + bytes);
-  f->staged_at = Clock::now();
-  f->write_twice = fault.duplicate;
-  if (fault.delay_ms > 0)
-    f->hold_until = f->staged_at + std::chrono::milliseconds(fault.delay_ms);
+  FrameHeader h;
+  h.type = FrameType::kData;
+  h.src = rank_;
+  h.tag = tag;
+  h.len = static_cast<std::uint32_t>(bytes);
+  h.crc = bytes ? bytes::crc32(data, bytes) : 0;
   // Trace-context propagation: a message sent under an active context
   // carries it as a trailer, linking the receiver's spans to this send.
-  // Attached before the injector's copies are written so drops, dups, and
-  // delays all carry (and dedup to) the same context.
+  std::byte ctx[kCtxTrailerBytes];
   if (obs::enabled()) {
-    const obs::cluster::TraceContext ctx = obs::cluster::current();
-    if (ctx.valid()) {
-      obs::cluster::encode_context(ctx, f->ctx);
-      f->has_ctx = true;
-      f->h.flags |= kFlagCarriesCtx;
+    const obs::cluster::TraceContext current = obs::cluster::current();
+    if (current.valid()) {
+      obs::cluster::encode_context(current, ctx);
+      h.flags |= kFlagCarriesCtx;
     }
   }
+  std::byte hdr[kHeaderBytes];
+  struct iovec iov[3];
+  int iovcnt = 0;
+  iov[iovcnt++] = {hdr, kHeaderBytes};
+  if (bytes) iov[iovcnt++] = {const_cast<void*>(data), bytes};
+  if (h.flags & kFlagCarriesCtx) iov[iovcnt++] = {ctx, kCtxTrailerBytes};
 
-  bool flush_now = false;
+  Peer& p = peer(dest);
+  bool failed = false;
   {
-    std::lock_guard lock(mu_);
-    if (p.unacked.empty()) {  // arm the per-peer timer for the oldest frame
-      p.attempts = 0;
-      p.retransmit_at =
-          f->staged_at + std::chrono::milliseconds(opt_.ack_timeout_ms);
-    }
-    p.unacked.push_back(f);
-    if (fault.drop) {
-      // Never stage the first copy — the retransmit timer recovers it.
-    } else if (fault.delay_ms > 0) {
-      p.held.push_back(f);  // the reader writes it late: real reordering
+    std::lock_guard wlock(p.write_mutex);
+    if (opt_.fault.severs(p.send_seq)) {
+      failed = true;
+      p.sock.shutdown_both();
+      {
+        std::lock_guard lock(mu_);
+        ++stats_.fault_severed;
+      }
+      mark_dead(dest, "fault injector severed the connection");
     } else {
-      p.staged.push_back(f);
-      p.staged_bytes +=
-          kHeaderBytes + bytes + (f->has_ctx ? kCtxTrailerBytes : 0);
-      flush_now = p.staged_bytes >= opt_.coalesce_bytes;
+      // Seq and stamp are taken under the write lock, so they follow wire
+      // order even when several threads send to one peer.
+      h.seq = p.send_seq++;
+      h.sent_ns = now_ns();
+      encode_header(h, hdr);
+      try {
+        write_or_queue(dest, iov, iovcnt);
+      } catch (const Error& e) {
+        mark_dead(dest, e.what());
+        failed = true;
+      }
     }
   }
-  if (flush_now) flush_peer(dest);
-  wake_reader();  // coalesce the rest: the reader flushes the batch
+  if (failed) throw_peer_dead(dest);
 
-  if (obs::enabled())
+  if (obs::enabled()) {
+    obs_frames_sent().add(1);
+    obs_frame_bytes().observe(static_cast<std::int64_t>(kHeaderBytes + bytes));
     obs::Tracer::global().instant(
         "net.send", "net",
         {{"src", rank_},
          {"dst", dest},
          {"tag", tag},
          {"bytes", static_cast<std::int64_t>(bytes)}});
-}
-
-bool TcpTransport::write_batch(int r, const std::vector<TxFramePtr>& batch,
-                               std::uint64_t ack) {
-  // Header iovec + payload iovec per frame: nothing is copied into an
-  // intermediate contiguous buffer on the way to the kernel.
-  std::vector<struct iovec> iov;
-  iov.reserve(batch.size() * 3 + 2);
-  for (const auto& f : batch) {
-    f->h.flags |= kFlagCarriesAck;
-    f->h.ack = ack;
-    encode_header(f->h, f->hdr);
-    iov.push_back({f->hdr, kHeaderBytes});
-    if (!f->payload.empty())
-      iov.push_back({f->payload.data(), f->payload.size()});
-    if (f->has_ctx) iov.push_back({f->ctx, kCtxTrailerBytes});
-    if (f->write_twice) {  // injected duplicate: same bytes, same batch
-      f->write_twice = false;
-      iov.push_back({f->hdr, kHeaderBytes});
-      if (!f->payload.empty())
-        iov.push_back({f->payload.data(), f->payload.size()});
-      if (f->has_ctx) iov.push_back({f->ctx, kCtxTrailerBytes});
-    }
   }
-  try {
-    write_or_queue(r, iov.data(), iov.size());
-  } catch (const Error& e) {
-    mark_dead(r, e.what());
-    return false;
-  }
-  if (obs::enabled()) {
-    obs_frames_sent().add(static_cast<std::int64_t>(batch.size()));
-    obs_coalesced_frames().observe(static_cast<std::int64_t>(batch.size()));
-    for (const auto& f : batch)
-      obs_frame_bytes().observe(
-          static_cast<std::int64_t>(kHeaderBytes + f->payload.size()));
-  }
-  return true;
-}
-
-void TcpTransport::flush_peer(int r) {
-  Peer& p = peer(r);
-  {
-    std::lock_guard lock(mu_);
-    if (p.dead || p.staged.empty()) return;
-  }
-  std::lock_guard wlock(p.write_mutex);
-  std::vector<TxFramePtr> batch;
-  std::uint64_t ack_val = 0;
-  bool carried_ack = false;
-  {
-    std::lock_guard lock(mu_);
-    if (p.dead || p.staged.empty()) return;
-    batch.assign(p.staged.begin(), p.staged.end());
-    p.staged.clear();
-    p.staged_bytes = 0;
-    // Every DATA frame piggybacks the current cumulative ack, so a burst
-    // flowing the other way usually needs no pure ACK at all.
-    ack_val = p.recv_next;
-    p.last_ack_sent = ack_val;
-    if (p.ack_pending) {
-      p.ack_pending = false;
-      carried_ack = true;
-      ++acks_sent_;
-    }
-  }
-  if (write_batch(r, batch, ack_val) && carried_ack && obs::enabled())
-    obs_cumulative_acks().add(1);
-}
-
-void TcpTransport::flush_all() {
-  for (int r = 0; r < world_; ++r)
-    if (r != rank_) flush_peer(r);
-}
-
-void TcpTransport::send_pure_ack(int r) {
-  Peer& p = peer(r);
-  {
-    std::lock_guard lock(mu_);
-    if (p.dead || !p.ack_pending) return;
-  }
-  std::lock_guard wlock(p.write_mutex);
-  std::uint64_t ack_val = 0;
-  {
-    std::lock_guard lock(mu_);
-    if (p.dead || !p.ack_pending) return;
-    ack_val = p.recv_next;
-    p.last_ack_sent = ack_val;
-    p.ack_pending = false;
-    ++acks_sent_;
-  }
-  FrameHeader a;
-  a.type = FrameType::kAck;
-  a.src = rank_;
-  a.flags = kFlagCarriesAck;
-  a.ack = ack_val;
-  std::byte buf[kHeaderBytes];
-  encode_header(a, buf);
-  try {
-    struct iovec one{buf, kHeaderBytes};
-    write_or_queue(r, &one, 1);
-  } catch (const Error& e) {
-    mark_dead(r, e.what());
-    return;
-  }
-  if (obs::enabled()) obs_cumulative_acks().add(1);
-}
-
-void TcpTransport::release_held(int r, Clock::time_point now) {
-  Peer& p = peer(r);
-  std::lock_guard lock(mu_);
-  // hold_until is monotone within a peer (stage times are, and the plan's
-  // delay is constant), so draining from the front is exact.
-  while (!p.held.empty() && p.held.front()->hold_until <= now) {
-    TxFramePtr f = p.held.front();
-    p.held.pop_front();
-    p.staged.push_back(f);
-    p.staged_bytes += kHeaderBytes + f->payload.size() +
-                      (f->has_ctx ? kCtxTrailerBytes : 0);
-  }
-}
-
-void TcpTransport::retransmit_pass(int r, Clock::time_point now) {
-  Peer& p = peer(r);
-  {
-    std::lock_guard lock(mu_);
-    if (p.dead || p.unacked.empty() || now < p.retransmit_at) return;
-  }
-  std::lock_guard wlock(p.write_mutex);
-  std::vector<TxFramePtr> batch;
-  std::uint64_t ack_val = 0;
-  bool exhausted = false;
-  std::uint64_t oldest_seq = 0;
-  {
-    std::lock_guard lock(mu_);
-    if (p.dead || p.unacked.empty() || now < p.retransmit_at) return;
-    oldest_seq = p.unacked.front()->h.seq;
-    // Go-back-N: rewrite everything unacked and due in one batch — the
-    // receiver's reassembly buffer absorbs the overlap, and multiple
-    // dropped frames recover in a single timeout.
-    for (const auto& f : p.unacked)
-      if (f->hold_until == Clock::time_point{} || f->hold_until <= now)
-        batch.push_back(f);
-    if (batch.empty()) {
-      // Every unacked frame is still injector-held: no copy has reached
-      // the wire yet, so the silence proves nothing about the link. Rearm
-      // the timer to the earliest hold deadline without burning an
-      // attempt — a hold longer than the backoff ladder must not kill a
-      // healthy peer.
-      auto earliest = Clock::time_point::max();
-      for (const auto& f : p.unacked)
-        earliest = std::min(earliest, f->hold_until);
-      p.retransmit_at =
-          earliest + std::chrono::milliseconds(opt_.ack_timeout_ms);
-      return;
-    }
-    if (p.attempts >= opt_.max_retries) {
-      exhausted = true;
-    } else {
-      ++p.attempts;
-      const int backoff =
-          std::min(opt_.ack_timeout_ms << std::min(p.attempts, 7), 10000);
-      p.retransmit_at = now + std::chrono::milliseconds(backoff);
-      if (p.outbox_off < p.outbox.size()) {
-        // The previous copy has not even cleared this host's outbox (the
-        // peer is not reading): rewriting would only duplicate bytes in
-        // the local queue. The pass still costs an attempt — no ack while
-        // the kernel refuses bytes is evidence against the peer, and the
-        // retry budget must stay bounded.
-        return;
-      }
-      // Staged frames are a subset of what's being rewritten; frames whose
-      // injected hold just expired are being written here, not twice.
-      p.staged.clear();
-      p.staged_bytes = 0;
-      while (!p.held.empty() && p.held.front()->hold_until <= now)
-        p.held.pop_front();
-      ack_val = p.recv_next;
-      p.last_ack_sent = ack_val;
-      if (p.ack_pending) {
-        p.ack_pending = false;
-        ++acks_sent_;
-      }
-      retransmits_ += batch.size();
-    }
-  }
-  if (exhausted) {
-    obs::FlightRecorder::global().note("net.retry_exhausted", r,
-                                       static_cast<std::int64_t>(oldest_seq));
-    mark_dead(r, "no ACK for seq " + std::to_string(oldest_seq) + " after " +
-                     std::to_string(opt_.max_retries) + " retransmit passes");
-    return;
-  }
-  if (batch.empty()) return;
-  obs::FlightRecorder::global().note(
-      "net.retransmit", r, static_cast<std::int64_t>(batch.size()),
-      static_cast<std::int64_t>(oldest_seq));
-  if (write_batch(r, batch, ack_val) && obs::enabled())
-    obs_retransmits().add(static_cast<std::int64_t>(batch.size()));
-}
-
-void TcpTransport::apply_ack(int src, std::uint64_t ack) {
-  Peer& p = peer(src);
-  bool progress = false;
-  {
-    std::lock_guard lock(mu_);
-    const auto now = Clock::now();
-    while (!p.unacked.empty() && seq_before(p.unacked.front()->h.seq, ack)) {
-      if (obs::enabled())
-        obs_rtt_ns().observe(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                now - p.unacked.front()->staged_at)
-                .count());
-      p.unacked.pop_front();
-      progress = true;
-    }
-    if (progress) {
-      p.attempts = 0;  // the link is alive; restart the backoff ladder
-      if (!p.unacked.empty())
-        p.retransmit_at =
-            now + std::chrono::milliseconds(opt_.ack_timeout_ms);
-    }
-  }
-  if (progress) cv_.notify_all();  // window space freed; shutdown may drain
 }
 
 std::vector<std::byte> TcpTransport::recv(int src, int tag, MsgInfo* info) {
@@ -644,9 +402,6 @@ std::vector<std::byte> TcpTransport::recv(int src, int tag, MsgInfo* info) {
   span.arg("src", src);
   span.arg("dst", rank_);
   span.arg("tag", tag);
-  // Entering a blocking recv is a natural batch boundary: put everything
-  // staged on the wire so the answer this recv waits on can be provoked.
-  flush_all();
   std::unique_lock lock(mu_);
   auto& channel = channels_[{src, tag}];
   // A peer that said GOODBYE will never send again — fail a still-pending
@@ -693,10 +448,6 @@ void TcpTransport::handle_frame(int src, const FrameHeader& h,
                                 const std::byte* ctx_trailer) {
   Peer& p = peer(src);
   switch (h.type) {
-    case FrameType::kAck: {
-      if (h.flags & kFlagCarriesAck) apply_ack(src, h.ack);
-      break;
-    }
     case FrameType::kData: {
       if (h.src != src) {
         mark_dead(src, "DATA frame claims src rank " +
@@ -704,7 +455,24 @@ void TcpTransport::handle_frame(int src, const FrameHeader& h,
                            std::to_string(src));
         break;
       }
-      if (h.flags & kFlagCarriesAck) apply_ack(src, h.ack);
+      // TCP delivers in order or not at all, so anything but the next seq
+      // means the stream itself is corrupt.
+      if (h.seq != p.recv_next) {
+        mark_dead(src, std::string(seq_before(h.seq, p.recv_next)
+                                       ? "repeated frame"
+                                       : "sequence gap") +
+                           ": got seq " + std::to_string(h.seq) +
+                           ", expected " + std::to_string(p.recv_next));
+        break;
+      }
+      ++p.recv_next;
+      if (obs::enabled()) {
+        // Every rank of a world runs on one host (threads of one process,
+        // or processes forked from it), so the sender's CLOCK_MONOTONIC
+        // stamp and this reading share one clock.
+        obs_delivery_ns().observe(now_ns() - h.sent_ns);
+        obs_frames_received().add(1);
+      }
       Delivery d;
       d.payload = std::move(payload);
       if (ctx_trailer != nullptr) {
@@ -716,45 +484,11 @@ void TcpTransport::handle_frame(int src, const FrameHeader& h,
           d.info.has_ctx = true;
         }
       }
-      std::uint64_t delivered = 0;
       {
         std::lock_guard lock(mu_);
-        if (h.seq == p.recv_next) {
-          channels_[{src, h.tag}].push_back(std::move(d));
-          ++p.recv_next;
-          ++delivered;
-          // Drain the reassembly run this frame just completed.
-          for (auto it = p.reassembly.find(p.recv_next);
-               it != p.reassembly.end();
-               it = p.reassembly.find(p.recv_next)) {
-            channels_[{src, it->second.first}].push_back(
-                std::move(it->second.second));
-            p.reassembly.erase(it);
-            ++p.recv_next;
-            ++delivered;
-          }
-        } else if (seq_before(p.recv_next, h.seq)) {
-          if (h.seq - p.recv_next > kMaxReassemblyGap) {
-            p.dead = true;
-            p.why = "sequence gap: got " + std::to_string(h.seq) +
-                    ", expected " + std::to_string(p.recv_next) +
-                    " (beyond any legal window)";
-          } else {
-            // Out of order: park it. emplace keeps the first copy, so an
-            // injected duplicate inside the window can never
-            // double-deliver (and its context dedups with it — one
-            // delivery, one context, no duplicate child spans).
-            p.reassembly.emplace(h.seq, std::make_pair(h.tag, std::move(d)));
-          }
-        }
-        // h.seq below recv_next: an already-delivered duplicate (injected,
-        // or a retransmission that crossed our ack) — drop the payload but
-        // re-ack below so the sender's window still opens.
-        p.ack_pending = true;
+        channels_[{src, h.tag}].push_back(std::move(d));
       }
       cv_.notify_all();
-      if (obs::enabled() && delivered)
-        obs_frames_received().add(static_cast<std::int64_t>(delivered));
       break;
     }
     case FrameType::kGoodbye: {
@@ -778,11 +512,7 @@ void TcpTransport::handle_frame(int src, const FrameHeader& h,
         FrameHeader pong;
         pong.type = FrameType::kPong;
         pong.src = rank_;
-        try {
-          write_frame(src, encode_frame(pong, reply.data(), reply.size()));
-        } catch (const Error& e) {
-          mark_dead(src, e.what());
-        }
+        write_frame(src, encode_frame(pong, reply.data(), reply.size()));
       }
       break;
     }
@@ -873,15 +603,10 @@ void TcpTransport::heartbeat_pass() {
     FrameHeader ping;
     ping.type = FrameType::kPing;
     ping.src = rank_;
-    try {
-      write_frame(r, encode_frame(ping, nullptr, 0));
-    } catch (const Error& e) {
-      mark_dead(r, e.what());
-      continue;
-    }
+    if (!write_frame(r, encode_frame(ping, nullptr, 0))) continue;
     {
       std::lock_guard lock(mu_);
-      ++heartbeats_sent_;
+      ++stats_.heartbeats_sent;
     }
     if (obs::enabled()) obs_heartbeats_sent().add(1);
   }
@@ -915,11 +640,7 @@ void TcpTransport::clock_pass() {
     FrameHeader probe;
     probe.type = FrameType::kPing;
     probe.src = rank_;
-    try {
-      write_frame(r, encode_frame(probe, origin.data(), origin.size()));
-    } catch (const Error& e) {
-      mark_dead(r, e.what());
-    }
+    write_frame(r, encode_frame(probe, origin.data(), origin.size()));
   }
 }
 
@@ -935,26 +656,6 @@ std::map<int, TcpTransport::ClockEstimate> TcpTransport::clock_estimates()
                            est.samples()};
   }
   return out;
-}
-
-int TcpTransport::next_deadline_ms(int cap) {
-  auto next = Clock::time_point::max();
-  {
-    std::lock_guard lock(mu_);
-    for (int r = 0; r < world_; ++r) {
-      if (r == rank_) continue;
-      Peer& p = peer(r);
-      if (p.dead) continue;
-      if (!p.unacked.empty()) next = std::min(next, p.retransmit_at);
-      if (!p.held.empty())
-        next = std::min(next, p.held.front()->hold_until);
-    }
-  }
-  if (next == Clock::time_point::max()) return cap;
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      next - Clock::now())
-                      .count();
-  return static_cast<int>(std::clamp<long long>(ms, 1, cap));
 }
 
 void TcpTransport::reader_loop() {
@@ -980,13 +681,13 @@ void TcpTransport::reader_loop() {
         // POLLOUT only while backpressured bytes wait, else it would be
         // level-triggered busy polling on an idle writable socket.
         const short events =
-            static_cast<short>(POLLIN | (p.outbox_pending ? POLLOUT : 0));
+            static_cast<short>(POLLIN | (p.outbox_bytes ? POLLOUT : 0));
         fds.push_back({p.sock.fd(), events, 0});
         fd_rank.push_back(r);
       }
     }
     fds.push_back({wake_pipe_[0], POLLIN, 0});
-    const int rc = ::poll(fds.data(), fds.size(), next_deadline_ms(base_ms));
+    const int rc = ::poll(fds.data(), fds.size(), base_ms);
     if (rc > 0) {
       if (fds.back().revents & POLLIN) {
         char buf[256];  // drain every pending poke in one gulp
@@ -1081,21 +782,6 @@ void TcpTransport::reader_loop() {
         }
       }
     }
-    // Service pass: write due held frames, flush staging (piggybacking
-    // acks), answer each drained burst with one cumulative ack, and run
-    // the per-peer retransmit timers.
-    const auto now = Clock::now();
-    for (int r = 0; r < world_; ++r) {
-      if (r == rank_) continue;
-      {
-        std::lock_guard lock(mu_);
-        if (peer(r).dead || !peer(r).sock.valid()) continue;
-      }
-      release_held(r, now);
-      flush_peer(r);
-      send_pure_ack(r);
-      retransmit_pass(r, now);
-    }
     heartbeat_pass();  // rc < 0 is EINTR; rc == 0 is the idle tick
     clock_pass();
   }
@@ -1104,97 +790,64 @@ void TcpTransport::reader_loop() {
 void TcpTransport::shutdown() {
   if (shut_down_) return;
   shut_down_ = true;
-  // send() only promises window admission; shutdown is where delivery of
-  // everything is confirmed. Flush staging, then drain the windows (the
-  // reader keeps retransmitting and releasing held frames meanwhile).
-  flush_all();
-  {
-    std::unique_lock lock(mu_);
-    cv_.wait_for(lock, std::chrono::milliseconds(opt_.goodbye_timeout_ms),
-                 [&] {
-                   for (int r = 0; r < world_; ++r) {
-                     if (r == rank_) continue;
-                     const Peer& p = *peers_[static_cast<std::size_t>(r)];
-                     if (!p.dead && !p.unacked.empty()) return false;
-                   }
-                   return true;
-                 });
-  }
-  // The drain is bounded, so it can expire with frames still unacked.
-  // Abandoning those silently would break the delivery contract invisibly
-  // (the loss would only surface as a confusing recv failure on the peer):
-  // count every abandoned frame and kill the link, so the sender sees
-  // PeerDied on any further use and stats()/net.frames_abandoned record
-  // exactly how many accepted sends were never confirmed.
-  for (int r = 0; r < world_; ++r) {
-    if (r == rank_) continue;
-    std::size_t leftover = 0;
-    {
-      std::lock_guard lock(mu_);
-      const Peer& p = peer(r);
-      if (!p.dead) leftover = p.unacked.size();
-      frames_abandoned_ += leftover;
-    }
-    if (!leftover) continue;
-    if (obs::enabled())
-      obs_frames_abandoned().add(static_cast<std::int64_t>(leftover));
-    mark_dead(r, "shutdown abandoned " + std::to_string(leftover) +
-                     " unacked frame(s): no ack within the " +
-                     std::to_string(opt_.goodbye_timeout_ms) +
-                     " ms drain budget");
-  }
+  // The GOODBYE queues behind every frame already sent, so a peer that
+  // reads it has read everything before it.
   FrameHeader bye;
   bye.type = FrameType::kGoodbye;
   bye.src = rank_;
   const std::vector<std::byte> frame = encode_frame(bye, nullptr, 0);
   for (int r = 0; r < world_; ++r) {
     if (r == rank_) continue;
-    Peer& p = peer(r);
     {
       std::lock_guard lock(mu_);
-      if (p.dead) continue;
+      if (peer(r).dead) continue;
     }
-    try {
-      write_frame(r, frame);
-    } catch (const Error&) {
-      // a peer that died first still counts as shut down
-    }
+    write_frame(r, frame);  // a peer that died first still counts as done
   }
-  // Drain: wait (bounded) until every peer said goodbye or died, so no rank
-  // tears its sockets down while a neighbour still awaits an ACK.
-  std::unique_lock lock(mu_);
-  cv_.wait_for(lock, std::chrono::milliseconds(opt_.goodbye_timeout_ms), [&] {
-    for (int r = 0; r < world_; ++r) {
-      if (r == rank_) continue;
-      const Peer& p = *peers_[static_cast<std::size_t>(r)];
-      if (!p.goodbye && !p.dead) return false;
+  // Drain: wait (bounded) until every outbox is empty and every peer said
+  // goodbye or died, so no rank closes a socket its neighbour still reads.
+  {
+    std::unique_lock lock(mu_);
+    cv_.wait_for(lock, std::chrono::milliseconds(opt_.goodbye_timeout_ms),
+                 [&] {
+                   for (int r = 0; r < world_; ++r) {
+                     if (r == rank_) continue;
+                     const Peer& p = peer(r);
+                     if (!p.dead && (p.outbox_bytes > 0 || !p.goodbye))
+                       return false;
+                   }
+                   return true;
+                 });
+  }
+  // The drain is bounded, so it can expire with frames still queued.
+  // Abandoning those silently would break the delivery contract invisibly
+  // (the loss would only surface as a confusing recv failure on the peer):
+  // count every abandoned frame and kill the link, so the sender sees
+  // PeerDied on any further use and stats()/net.frames_abandoned record
+  // exactly how many sends never reached the peer.
+  for (int r = 0; r < world_; ++r) {
+    if (r == rank_) continue;
+    Peer& p = peer(r);
+    std::size_t leftover = 0;
+    {
+      std::lock_guard wlock(p.write_mutex);
+      std::lock_guard lock(mu_);
+      if (!p.dead) leftover = p.outbox.size();
+      stats_.frames_abandoned += leftover;
     }
-    return true;
-  });
+    if (!leftover) continue;
+    if (obs::enabled())
+      obs_frames_abandoned().add(static_cast<std::int64_t>(leftover));
+    mark_dead(r, "shutdown abandoned " + std::to_string(leftover) +
+                     " frame(s) still queued after the " +
+                     std::to_string(opt_.goodbye_timeout_ms) +
+                     " ms drain budget");
+  }
 }
 
 TcpTransport::Stats TcpTransport::stats() const {
-  Stats s;
-  {
-    std::lock_guard lock(mu_);
-    s.retransmits = retransmits_;
-    s.window_stalls = window_stalls_;
-    s.acks_sent = acks_sent_;
-    s.heartbeats_sent = heartbeats_sent_;
-    s.frames_abandoned = frames_abandoned_;
-  }
-  // Injector counters are written under each peer's send_mutex; reading
-  // them here is only exact once the world has quiesced (which is when the
-  // runtime collects stats).
-  for (const auto& p : peers_) {
-    if (!p || !p->fault) continue;
-    const auto& c = p->fault->counters();
-    s.fault.dropped += c.dropped;
-    s.fault.duplicated += c.duplicated;
-    s.fault.delayed += c.delayed;
-    s.fault.severed += c.severed;
-  }
-  return s;
+  std::lock_guard lock(mu_);
+  return stats_;
 }
 
 }  // namespace peachy::net

@@ -32,9 +32,10 @@ class Transport {
   virtual int size() const = 0;
 
   /// Blocking send of `bytes` to `dest`. Returns once the payload is safely
-  /// buffered — copied into a mailbox (inproc) or admitted to the peer's
-  /// send window (tcp, which then guarantees delivery or a PeerDied on a
-  /// later call). Throws PeerDied when the destination is gone for good.
+  /// buffered — copied into a mailbox (inproc) or handed to the kernel or
+  /// the peer's outbox (tcp, which then guarantees delivery or a PeerDied
+  /// on a later call). Throws PeerDied when the destination is gone for
+  /// good.
   virtual void send(int dest, int tag, const void* data,
                     std::size_t bytes) = 0;
 

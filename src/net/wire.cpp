@@ -17,7 +17,7 @@ void encode_header(const FrameHeader& h, std::byte* out) {
   store_le(out + 8, static_cast<std::uint32_t>(h.src));
   store_le(out + 12, static_cast<std::uint32_t>(h.tag));
   store_le(out + 16, h.seq);
-  store_le(out + 24, h.ack);
+  store_le(out + 24, static_cast<std::uint64_t>(h.sent_ns));
   store_le(out + 32, h.len);
   store_le(out + 36, h.crc);
 }
@@ -34,13 +34,14 @@ FrameHeader decode_header(const std::byte* in) {
                  "wire protocol version mismatch: peer speaks v" << h.version
                      << ", this build speaks v" << kWireVersion);
   const auto type = std::to_integer<std::uint8_t>(in[6]);
-  PEACHY_REQUIRE(type >= 1 && type <= 12, "unknown frame type " << int{type});
+  PEACHY_REQUIRE(type >= 1 && type <= 12 && type != 4,
+                 "unknown frame type " << int{type});
   h.type = static_cast<FrameType>(type);
   h.flags = std::to_integer<std::uint8_t>(in[7]);
   h.src = static_cast<std::int32_t>(load_le<std::uint32_t>(in + 8));
   h.tag = static_cast<std::int32_t>(load_le<std::uint32_t>(in + 12));
   h.seq = load_le<std::uint64_t>(in + 16);
-  h.ack = load_le<std::uint64_t>(in + 24);
+  h.sent_ns = static_cast<std::int64_t>(load_le<std::uint64_t>(in + 24));
   h.len = load_le<std::uint32_t>(in + 32);
   PEACHY_REQUIRE(h.len <= kMaxPayloadBytes,
                  "frame payload of " << h.len << " bytes exceeds the "

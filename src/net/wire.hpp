@@ -1,6 +1,6 @@
 // Wire protocol for the peachy socket transport (DESIGN.md "Transports").
 //
-// Every unit on the wire — handshake, data, ack, rendezvous traffic — is one
+// Every unit on the wire — handshake, data, control, rendezvous traffic — is one
 // *frame*: a fixed 40-byte little-endian header optionally followed by a
 // payload. The header is versioned (a connection is refused when the two
 // ends disagree) and carries a CRC32 of the payload so corruption is caught
@@ -13,17 +13,15 @@
 //   7  u8  flags   FrameFlag bits
 //   8  i32 src     sending rank (or rendezvous client rank)
 //   12 i32 tag     message tag / handshake destination rank / listen port
-//   16 u64 seq     per-connection data sequence number
-//   24 u64 ack     cumulative ack: every seq < ack has been received
-//                  (valid only when kFlagCarriesAck is set — DATA frames
-//                  piggyback it, ACK frames exist for it)
+//   16 u64 seq     per-connection data sequence number (0, 1, 2, ...)
+//   24 i64 sent_ns sender's steady-clock stamp when the frame was sent
 //   32 u32 len     payload bytes following the header
 //   36 u32 crc     CRC32 (IEEE) of the payload, 0 when len == 0
 //
-// v2 replaced v1's echo-this-seq ACK with the cumulative `ack` field: one
-// ACK (or any data frame flowing the other way) acknowledges every frame
-// below it, which is what lets the sliding-window sender keep a whole
-// window in flight and collapse per-frame timers into one per-peer timer.
+// TCP already delivers a stream in order or not at all, so there are no
+// acks: v3 replaced v2's cumulative `ack` field with `sent_ns`, from which
+// the receiver reads a frame's one-way delivery time. `seq` stays as a
+// check: a gap or a repeat on receipt means the stream is corrupt.
 #pragma once
 
 #include <cstddef>
@@ -35,7 +33,7 @@
 
 namespace peachy::net {
 
-inline constexpr std::uint16_t kWireVersion = 2;
+inline constexpr std::uint16_t kWireVersion = 3;
 inline constexpr std::size_t kHeaderBytes = 40;
 /// Frames larger than this are rejected as corrupt (a 4096x4096 u32 grid
 /// gathered in one message is 64 MiB; leave headroom above that).
@@ -45,7 +43,7 @@ enum class FrameType : std::uint8_t {
   kHello = 1,     ///< mesh handshake: src=connector rank, tag=acceptor rank
   kHelloAck = 2,  ///< handshake accepted
   kData = 3,      ///< application message: src, tag, seq, payload
-  kAck = 4,       ///< pure cumulative ack (see FrameHeader::ack)
+                  ///< (4 was v2's ACK)
   kGoodbye = 5,   ///< graceful close; EOF after this is not a peer death
   kRegister = 6,  ///< rendezvous: src=rank, tag=peer listen port
   kTable = 7,     ///< rendezvous reply: payload = world_size u32 ports
@@ -59,13 +57,10 @@ enum class FrameType : std::uint8_t {
 
 /// FrameHeader::flags bits.
 enum FrameFlag : std::uint8_t {
-  /// The `ack` field is meaningful: everything below it has been received.
-  /// Set on every ACK frame and piggybacked on outgoing DATA frames.
-  kFlagCarriesAck = 0x01,
   /// A 16-byte trace-context trailer (trace_id u64, parent span_id u64,
   /// little-endian) follows the payload. The trailer rides *after* the
   /// payload and outside `len`/`crc` — CRC semantics of every existing
-  /// frame are untouched, and a v2 receiver that knows the flag consumes
+  /// frame are untouched, and a receiver that knows the flag consumes
   /// it without any header-layout change. Only DATA frames carry it.
   kFlagCarriesCtx = 0x02,
 };
@@ -80,15 +75,14 @@ struct FrameHeader {
   std::int32_t src = 0;
   std::int32_t tag = 0;
   std::uint64_t seq = 0;
-  std::uint64_t ack = 0;
+  std::int64_t sent_ns = 0;
   std::uint32_t len = 0;
   std::uint32_t crc = 0;
 };
 
 /// Serial-number comparison (RFC 1982 style): true when `a` precedes `b`
-/// even across a u64 wrap. The window arithmetic uses this everywhere so
-/// sequence numbers starting near the top of the space (see
-/// TcpOptions::first_seq) behave identically to ones starting at zero.
+/// even across a u64 wrap. The receiver uses it to tell a repeated frame
+/// from a skipped one.
 inline bool seq_before(std::uint64_t a, std::uint64_t b) {
   return static_cast<std::int64_t>(a - b) < 0;
 }

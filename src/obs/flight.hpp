@@ -2,11 +2,11 @@
 // events (DESIGN.md "Distributed telemetry").
 //
 // Full tracing is opt-in and heavy; the flight recorder is neither. Every
-// rank keeps the last kCapacity low-frequency events — frame retransmits,
-// peer suspicion, window stalls, checkpoint landmarks — in a preallocated
+// rank keeps the last kCapacity low-frequency events — peer deaths, peer
+// suspicion, orphaned receives, checkpoint landmarks — in a preallocated
 // ring written with one fetch_add and a few stores, cheap enough to stay on
-// even when obs::enabled() is false. When a rank dies (PeerDied, retry
-// exhaustion, fatal signal) the ring is dumped to flight-<rank>.json,
+// even when obs::enabled() is false. When a rank dies (PeerDied, fatal
+// signal) the ring is dumped to flight-<rank>.json,
 // turning a failed seeded-fault run from pass/fail into a post-mortem.
 //
 // Notes are fixed-size POD (no allocation, no strings beyond a bounded

@@ -23,6 +23,21 @@ std::string to_string(Schedule s) {
 
 namespace {
 
+// libgomp is not tsan-instrumented, so the barrier that ends an OpenMP
+// region is invisible to tsan and a team thread's writes look unordered
+// with everything the continuing thread does afterwards. These name that
+// barrier: each team thread releases on `sync` at the end of the region,
+// the continuing thread acquires it after.
+#if defined(__SANITIZE_THREAD__)
+extern "C" void __tsan_acquire(void* addr);
+extern "C" void __tsan_release(void* addr);
+void tsan_release(void* sync) { __tsan_release(sync); }
+void tsan_acquire(void* sync) { __tsan_acquire(sync); }
+#else
+void tsan_release(void*) {}
+void tsan_acquire(void*) {}
+#endif
+
 void apply_schedule(Schedule s) {
   switch (s) {
     case Schedule::kStatic: omp_set_schedule(omp_sched_static, 0); break;
@@ -200,20 +215,25 @@ int Runner::execute_lazy(const TileKernel& kernel, int iter,
           },
           fo);
     } else {
-#pragma omp parallel for schedule(runtime) num_threads(num_threads)
-      for (int k = 0; k < m; ++k) {
-        const Tile t = tiles_.tile(work_[static_cast<std::size_t>(k)]);
-        const std::int64_t t0 = (trace || obs_on) ? now_ns() : 0;
-        const bool changed = kernel(t, iter);
-        if (trace) {
-          trace->record(TaskRecord{iter, omp_get_thread_num(), t.y0, t.x0, t.h,
-                                   t.w, t0, now_ns()});
+#pragma omp parallel num_threads(num_threads)
+      {
+#pragma omp for schedule(runtime)
+        for (int k = 0; k < m; ++k) {
+          const Tile t = tiles_.tile(work_[static_cast<std::size_t>(k)]);
+          const std::int64_t t0 = (trace || obs_on) ? now_ns() : 0;
+          const bool changed = kernel(t, iter);
+          if (trace) {
+            trace->record(TaskRecord{iter, omp_get_thread_num(), t.y0, t.x0,
+                                     t.h, t.w, t0, now_ns()});
+          }
+          if (obs_on) obs_tile(t0, t, iter);
+          if (changed)
+            changed_[static_cast<std::size_t>(omp_get_thread_num())]
+                .push_back(t.index);
         }
-        if (obs_on) obs_tile(t0, t, iter);
-        if (changed)
-          changed_[static_cast<std::size_t>(omp_get_thread_num())]
-              .push_back(t.index);
+        tsan_release(&changed_);
       }
+      tsan_acquire(&changed_);
     }
     *tasks += static_cast<std::size_t>(m);
   }

@@ -121,8 +121,6 @@ TEST(DmrRecovery, SpawnedSeveredRankRecoversByteIdentical) {
   opt.run.spawn = true;
   opt.run.transport = mpp::TransportKind::kTcp;
   opt.run.resilience.max_restarts = 3;
-  opt.run.tcp.ack_timeout_ms = 20;
-  opt.run.tcp.fault.seed = 7;
   opt.run.tcp.fault.sever_after = sweep_sever_after();
   job.mapper(word_mapper).combiner(sum_reducer).reducer(sum_reducer);
   job.options(opt);

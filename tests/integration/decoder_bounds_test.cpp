@@ -32,6 +32,7 @@
 #include "mpp/checkpoint.hpp"
 #include "mpp/pool.hpp"
 #include "mpp/telemetry.hpp"
+#include "net/fault.hpp"
 #include "net/rendezvous.hpp"
 #include "net/wire.hpp"
 #include "obs/cluster.hpp"
@@ -164,11 +165,11 @@ svc::JobSpec wfsim_spec() {
 net::FrameHeader frame_header() {
   net::FrameHeader h;
   h.type = net::FrameType::kData;
-  h.flags = net::kFlagCarriesAck | net::kFlagCarriesCtx;
+  h.flags = net::kFlagCarriesCtx;
   h.src = 3;
   h.tag = -7;
   h.seq = 0x0102030405060708ull;
-  h.ack = 42;
+  h.sent_ns = 42;
   h.len = 5;
   h.crc = 0xdeadbeefu;
   return h;
@@ -179,9 +180,8 @@ net::WorkerReport worker_report() {
   r.ok = true;
   std::uint64_t v = 0;
   for (std::uint64_t* f :
-       {&r.messages_sent, &r.bytes_sent, &r.retransmits, &r.window_stalls,
-        &r.acks_sent, &r.frames_abandoned, &r.fault_dropped,
-        &r.fault_duplicated, &r.fault_delayed, &r.fault_severed})
+       {&r.messages_sent, &r.bytes_sent, &r.window_stalls,
+        &r.frames_abandoned, &r.fault_severed})
     *f = ++v;
   r.error = "peer 2 hung up";
   r.result = from_hex("deadbeef");
@@ -314,6 +314,7 @@ struct LengthField {
 struct Format {
   const char* name;
   const char* golden;  ///< hex, recorded before the port to core/bytes.hpp
+                       ///< (wire v3 for the header and worker report)
   /// The corpus values above, encoded by this build.
   std::function<Blob()> encode;
   /// Decodes; returns what was decoded, re-encoded (nullopt where the
@@ -327,6 +328,11 @@ struct Format {
 };
 
 void PrintTo(const Format& f, std::ostream* os) { *os << f.name; }
+
+Blob text_blob(const std::string& text) {
+  const auto* p = reinterpret_cast<const std::byte*>(text.data());
+  return Blob(p, p + text.size());
+}
 
 Blob spec_bytes(const svc::JobSpec& spec) {
   Blob out;
@@ -343,7 +349,7 @@ std::optional<Blob> respec(const Blob& b) {
 const std::vector<Format>& formats() {
   static const std::vector<Format> table = {
       {"wire_header",
-       "504541430200030303000000f9ffffff08070605040302012a000000"
+       "504541430300030203000000f9ffffff08070605040302012a000000"
        "0000000005000000efbeadde",
        [] {
          Blob out(net::kHeaderBytes);
@@ -369,14 +375,27 @@ const std::vector<Format>& formats() {
        {}},
       {"worker_report",
        "01010000000000000002000000000000000300000000000000040000"
-       "00000000000500000000000000060000000000000007000000000000"
-       "00080000000000000009000000000000000a000000000000000e0000"
-       "007065657220322068756e6720757004000000deadbeef",
+       "000000000005000000000000000e0000007065657220322068756e67"
+       "20757004000000deadbeef",
        [] { return net::encode_report(worker_report()); },
        [](const Blob& b) -> std::optional<Blob> {
          return net::encode_report(net::decode_report(b));
        },
-       {{81, 4}, {99, 4}}},
+       {{41, 4}, {59, 4}}},
+      {"fault_plan",
+       "3432",
+       [] {
+         net::FaultPlan plan;
+         plan.sever_after = 42;
+         return text_blob(plan.encode());
+       },
+       [](const Blob& b) -> std::optional<Blob> {
+         // The plan travels as the text of one environment variable.
+         const std::string text(reinterpret_cast<const char*>(b.data()),
+                                b.size());
+         return text_blob(net::FaultPlan::decode(text).encode());
+       },
+       {}},
       {"job_spec_sandpile",
        "0100000005000000616c6963650400000070696c6504000000020000"
        "00282300001800000020000000881300000200000004000000",

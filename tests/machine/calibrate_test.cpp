@@ -23,19 +23,20 @@ obs::MetricSample histogram_sample(const char* name, std::uint64_t count,
 }
 
 // One snapshot as the transport would leave it after a run at one frame
-// size, generated from the linear model rtt = 2*latency + bytes/bandwidth.
+// size, generated from the one-way model delivery = latency + bytes/bandwidth.
 std::vector<obs::MetricSample> synthetic_snapshot(double frame_bytes,
                                                   double bandwidth,
                                                   double latency_s,
                                                   std::uint64_t frames = 1000) {
-  const double rtt_s = 2.0 * latency_s + frame_bytes / bandwidth;
+  const double delivery_s = latency_s + frame_bytes / bandwidth;
   std::vector<obs::MetricSample> snap;
   snap.push_back(histogram_sample(
       "net.frame_bytes", frames,
       static_cast<std::int64_t>(frame_bytes * static_cast<double>(frames))));
   snap.push_back(histogram_sample(
-      "net.rtt_ns", frames,
-      static_cast<std::int64_t>(rtt_s * 1e9 * static_cast<double>(frames))));
+      "net.delivery_ns", frames,
+      static_cast<std::int64_t>(delivery_s * 1e9 *
+                                static_cast<double>(frames))));
   return snap;
 }
 
@@ -59,7 +60,7 @@ TEST(MachineCalibrate, PointExtractsExactHistogramMeans) {
   const CalibrationPoint p = calibration_point(snap);
   EXPECT_EQ(p.frames, 250u);
   EXPECT_NEAR(p.mean_frame_bytes, 4096.0, 1e-9);
-  EXPECT_NEAR(p.mean_rtt_s, 2 * 50e-6 + 4096.0 / 1.25e9, 1e-9);
+  EXPECT_NEAR(p.mean_delivery_s, 50e-6 + 4096.0 / 1.25e9, 1e-9);
 }
 
 TEST(MachineCalibrate, FitRecoversSyntheticLinkWithinTolerance) {
@@ -94,7 +95,7 @@ TEST(MachineCalibrate, FromMeasurementsRepairsNicAndFabric) {
 
 TEST(MachineCalibrate, MissingMetricThrows) {
   std::vector<obs::MetricSample> snap;
-  snap.push_back(histogram_sample("net.rtt_ns", 10, 1000));
+  snap.push_back(histogram_sample("net.delivery_ns", 10, 1000));
   EXPECT_THROW(calibration_point(snap), Error);           // no frame_bytes
   EXPECT_THROW(calibration_point({}), Error);             // empty snapshot
 }
@@ -130,7 +131,8 @@ TEST(MachineCalibrate, UnderdeterminedFitsThrow) {
 }
 
 TEST(MachineCalibrate, NonIncreasingRttThrows) {
-  // RTT shrinking with size fits a negative slope — rejected, not inverted.
+  // Delivery time shrinking with size fits a negative slope — rejected,
+  // not inverted.
   CalibrationPoint a{1024.0, 2e-3, 10};
   CalibrationPoint b{65536.0, 1e-3, 10};
   EXPECT_THROW(fit_link({a, b}), Error);

@@ -252,11 +252,8 @@ TEST(TelemetrySpawned, SeveredRankLeavesFlightRecorderDump) {
   telemetry.interval_ms = 50;
 
   net::TcpOptions tcp;
-  tcp.ack_timeout_ms = 20;
-  tcp.max_retries = 3;
   tcp.recv_timeout_ms = 3000;
   tcp.goodbye_timeout_ms = 300;
-  tcp.fault.seed = 11;
   // Sever mid-ring (round 4 of 5) so the failure hits application traffic,
   // not the final telemetry snapshot (whose send errors are swallowed by
   // design: telemetry must never mask a clean run's result).

@@ -1,127 +1,109 @@
-// FaultInjector: seeded decisions must be deterministic and per-connection
-// independent — the properties the reproducible fault tests lean on.
+// Fault plans: when a link is severed must be a pure function of the plan
+// and the frame index — the property the reproducible fault tests lean on —
+// and the plan must survive the environment round trip into exec'd
+// workers.
 #include "net/fault.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <string>
-#include <vector>
 
 #include "core/error.hpp"
+#include "mpp/mpp.hpp"
 
 namespace peachy::net {
 namespace {
 
-std::vector<FaultInjector::Decision> roll(const FaultPlan& plan, int src,
-                                          int dst, int n) {
-  FaultInjector inj(plan, src, dst);
-  std::vector<FaultInjector::Decision> out;
-  for (int i = 0; i < n; ++i) out.push_back(inj.next());
-  return out;
+// The first frame index (of `n`) the plan severs at; -1 when none.
+int first_sever(const FaultPlan& plan, int n = 200) {
+  for (int i = 0; i < n; ++i)
+    if (plan.severs(static_cast<std::uint64_t>(i))) return i;
+  return -1;
 }
 
 TEST(Fault, InactiveByDefault) {
   FaultPlan plan;
   EXPECT_FALSE(plan.active());
-  plan.drop = 0.5;  // still inactive: seed 0 disables everything
-  EXPECT_FALSE(plan.active());
-  plan.seed = 42;
+  EXPECT_EQ(first_sever(plan), -1);
+  plan.sever_after = 0;
   EXPECT_TRUE(plan.active());
+  EXPECT_EQ(first_sever(plan), 0);
 }
 
 TEST(Fault, SeededDecisionsAreDeterministic) {
-  FaultPlan plan;
-  plan.seed = 1234;
-  plan.drop = 0.3;
-  plan.duplicate = 0.2;
-  plan.delay = 0.1;
-  const auto a = roll(plan, 0, 1, 200);
-  const auto b = roll(plan, 0, 1, 200);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].drop, b[i].drop) << "frame " << i;
-    EXPECT_EQ(a[i].duplicate, b[i].duplicate) << "frame " << i;
-    EXPECT_EQ(a[i].sever, b[i].sever) << "frame " << i;
-    EXPECT_EQ(a[i].delay_ms, b[i].delay_ms) << "frame " << i;
-  }
+  FaultPlan a, b;
+  a.sever_after = b.sever_after = 17;
+  for (std::uint64_t i = 0; i < 200; ++i)
+    EXPECT_EQ(a.severs(i), b.severs(i)) << "frame " << i;
 }
 
 TEST(Fault, DirectionsAreIndependentStreams) {
-  FaultPlan plan;
-  plan.seed = 99;
-  plan.drop = 0.5;
-  const auto forward = roll(plan, 0, 1, 100);
-  const auto backward = roll(plan, 1, 0, 100);
-  int differing = 0;
-  for (std::size_t i = 0; i < forward.size(); ++i)
-    if (forward[i].drop != backward[i].drop) ++differing;
-  // Identical streams would mean the direction is not part of the hash.
-  EXPECT_GT(differing, 0);
+  // Each direction of a link counts its own data frames: rank 1's replies
+  // do not move rank 0's sever point, and the link is severed once.
+  mpp::RunOptions opts;
+  opts.transport = mpp::TransportKind::kTcp;
+  opts.tcp.recv_timeout_ms = 5000;
+  opts.tcp.fault.sever_after = 3;
+  std::atomic<int> sent{0};
+  EXPECT_THROW(mpp::run_world(2, opts,
+                              [&sent](mpp::Comm& comm) {
+                                std::int64_t x = 0;
+                                if (comm.rank() == 0) {
+                                  // Two frames each way: four on the link,
+                                  // but only two per direction.
+                                  for (int i = 0; i < 2; ++i) {
+                                    comm.send(1, 1, &x, 1);
+                                    comm.recv(1, 2, &x, 1);
+                                    ++sent;
+                                  }
+                                  for (int i = 0; i < 3; ++i) {
+                                    comm.send(1, 1, &x, 1);
+                                    ++sent;
+                                  }
+                                } else {
+                                  for (int i = 0; i < 2; ++i) {
+                                    comm.recv(0, 1, &x, 1);
+                                    comm.send(0, 2, &x, 1);
+                                  }
+                                  for (int i = 0; i < 3; ++i)
+                                    comm.recv(0, 1, &x, 1);
+                                }
+                              }),
+               PeerDied);
+  EXPECT_EQ(sent.load(), 3);  // frame index 3 of 0 -> 1 is the cut
 }
 
-TEST(Fault, DifferentSeedsDiffer) {
+TEST(Fault, DifferentSeverPointsDiffer) {
   FaultPlan a, b;
-  a.seed = 1;
-  b.seed = 2;
-  a.drop = b.drop = 0.5;
-  const auto ra = roll(a, 0, 1, 100);
-  const auto rb = roll(b, 0, 1, 100);
-  int differing = 0;
-  for (std::size_t i = 0; i < ra.size(); ++i)
-    if (ra[i].drop != rb[i].drop) ++differing;
-  EXPECT_GT(differing, 0);
-}
-
-TEST(Fault, DropRateRoughlyHonored) {
-  FaultPlan plan;
-  plan.seed = 7;
-  plan.drop = 0.25;
-  FaultInjector inj(plan, 2, 3);
-  for (int i = 0; i < 2000; ++i) inj.next();
-  const double rate =
-      static_cast<double>(inj.counters().dropped) / 2000.0;
-  EXPECT_NEAR(rate, 0.25, 0.05);
+  a.sever_after = 5;
+  b.sever_after = 9;
+  EXPECT_EQ(first_sever(a), 5);
+  EXPECT_EQ(first_sever(b), 9);
 }
 
 TEST(Fault, SeverAfterFiresExactlyOnce) {
+  // The first frame at the sever point cuts the link; the transport throws
+  // PeerDied for every later send without judging it again.
   FaultPlan plan;
-  plan.seed = 5;
   plan.sever_after = 3;
-  FaultInjector inj(plan, 0, 1);
-  int severed_at = -1;
-  for (int i = 0; i < 10; ++i) {
-    const auto d = inj.next();
-    if (d.sever && severed_at < 0) severed_at = i;
-  }
-  EXPECT_EQ(severed_at, 3);
-  EXPECT_EQ(inj.counters().severed, 1u);
+  EXPECT_EQ(first_sever(plan, 10), 3);
+  for (std::uint64_t i = 3; i < 10; ++i) EXPECT_TRUE(plan.severs(i));
 }
 
 TEST(Fault, PlanEncodeDecodeRoundTrip) {
-  FaultPlan plan;
-  plan.seed = 0xabcdef;
-  plan.drop = 0.125;
-  plan.duplicate = 0.25;
-  plan.delay = 0.5;
-  plan.delay_ms = 7;
-  plan.sever_after = 42;
-  const FaultPlan back = FaultPlan::decode(plan.encode());
-  EXPECT_EQ(back.seed, plan.seed);
-  EXPECT_DOUBLE_EQ(back.drop, plan.drop);
-  EXPECT_DOUBLE_EQ(back.duplicate, plan.duplicate);
-  EXPECT_DOUBLE_EQ(back.delay, plan.delay);
-  EXPECT_EQ(back.delay_ms, plan.delay_ms);
-  EXPECT_EQ(back.sever_after, plan.sever_after);
-
-  // A seeded run must see the same faults after the env round trip.
-  const auto a = roll(plan, 0, 1, 50);
-  const auto b = roll(back, 0, 1, 50);
-  for (std::size_t i = 0; i < a.size(); ++i)
-    EXPECT_EQ(a[i].drop, b[i].drop) << "frame " << i;
+  for (const std::int64_t sever_after : {-1, 0, 42, 1'000'000'007}) {
+    FaultPlan plan;
+    plan.sever_after = sever_after;
+    const FaultPlan back = FaultPlan::decode(plan.encode());
+    EXPECT_EQ(back.sever_after, plan.sever_after);
+    // A run must see the same faults after the env round trip.
+    EXPECT_EQ(first_sever(back), first_sever(plan));
+  }
 }
 
 // --- Decode hardening: a fault plan travels through an environment
-// variable into forked workers, so a corrupted encoding must fail loudly
+// variable into exec'd workers, so a corrupted encoding must fail loudly
 // (clear error naming the input) instead of silently disabling faults.
 
 void expect_bad_plan(const std::string& text) {
@@ -137,36 +119,30 @@ void expect_bad_plan(const std::string& text) {
 
 TEST(Fault, DecodeRejectsTruncatedEncodings) {
   expect_bad_plan("");
-  expect_bad_plan("12");
-  expect_bad_plan("12:0.5");
-  expect_bad_plan("12:0.5:0.5:0.5:2");       // 5 of 6 fields
-  expect_bad_plan("12:0.5:0.5:0.5:2:3:9");   // 7 fields
+  expect_bad_plan("-");
+  expect_bad_plan("12:");  // v2's ':'-separated fields
+  expect_bad_plan("12:0.5:0.5:0.5:2:3");
 }
 
 TEST(Fault, DecodeRejectsCorruptFields) {
-  expect_bad_plan("abc:0:0:0:2:-1");      // seed not a number
-  expect_bad_plan("12:zero:0:0:2:-1");    // probability not a number
-  expect_bad_plan("12:0.5x:0:0:2:-1");    // trailing garbage in a field
-  expect_bad_plan("12:0:0:0:2:-1x");      // trailing garbage at the end
-  expect_bad_plan("12:0:0:0::-1");        // empty field
+  expect_bad_plan("abc");
+  expect_bad_plan("12x");   // trailing garbage
+  expect_bad_plan(" 12");   // leading garbage
+  expect_bad_plan("1.5");
+  expect_bad_plan("99999999999999999999");  // overflows int64
 }
 
 TEST(Fault, DecodeRejectsOutOfRangeValues) {
-  expect_bad_plan("12:1.5:0:0:2:-1");    // drop probability > 1
-  expect_bad_plan("12:-0.1:0:0:2:-1");   // negative probability
-  expect_bad_plan("12:0:2:0:2:-1");      // duplicate probability > 1
-  expect_bad_plan("12:0:0:0:-3:-1");     // negative delay_ms
-  expect_bad_plan("12:0:0:0:2:-2");      // sever_after below -1
+  expect_bad_plan("-2");  // sever_after below -1
+  expect_bad_plan("-9223372036854775808");
 }
 
 TEST(Fault, DecodeAcceptsBoundaryValues) {
-  const FaultPlan plan = FaultPlan::decode("1:0:1:0.5:0:-1");
-  EXPECT_EQ(plan.seed, 1u);
-  EXPECT_DOUBLE_EQ(plan.drop, 0.0);
-  EXPECT_DOUBLE_EQ(plan.duplicate, 1.0);
-  EXPECT_DOUBLE_EQ(plan.delay, 0.5);
-  EXPECT_EQ(plan.delay_ms, 0);
-  EXPECT_EQ(plan.sever_after, -1);
+  EXPECT_EQ(FaultPlan::decode("-1").sever_after, -1);
+  EXPECT_FALSE(FaultPlan::decode("-1").active());
+  EXPECT_EQ(FaultPlan::decode("0").sever_after, 0);
+  EXPECT_EQ(FaultPlan::decode("9223372036854775807").sever_after,
+            9223372036854775807LL);
 }
 
 }  // namespace

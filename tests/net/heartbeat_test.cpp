@@ -127,39 +127,58 @@ TEST(Heartbeat, SilentPeerIsSuspectedAndReportedDead) {
 }
 
 TEST(Heartbeat, EnabledHeartbeatsDoNotPerturbData) {
-  // Aggressive pings interleaved with real traffic: payloads and seeded
-  // fault decisions must be exactly what they are without heartbeats.
-  mpp::RunOptions opts;
-  opts.transport = mpp::TransportKind::kTcp;
-  opts.tcp.heartbeat_ms = 2;
-  opts.tcp.fault.seed = 4242;
-  opts.tcp.fault.drop = 0.2;
-
-  std::int64_t sum = 0;
-  const mpp::RunOutcome out =
-      mpp::run_world(2, opts, [&sum](mpp::Comm& comm) {
-        std::int64_t acc = 0;
-        for (int i = 0; i < 20; ++i) {
-          std::int64_t x = i;
-          if (comm.rank() == 0) {
-            comm.send(1, 4, &x, 1);
-            comm.recv(1, 5, &x, 1);
-            acc += x;
-          } else {
-            std::int64_t got = 0;
-            comm.recv(0, 4, &got, 1);
-            got *= 2;
-            comm.send(0, 5, &got, 1);
-          }
-        }
-        if (comm.rank() == 0) sum = acc;
-      });
+  // Aggressive pings interleaved with real traffic: payloads, message
+  // counts and the fault plan's sever point are exactly what they are
+  // without heartbeats.
+  struct Run {
+    int rounds = 0;  // round trips rank 0 completed
+    std::int64_t sum = 0;
+    bool severed = false;
+  };
+  const auto run = [](int heartbeat_ms, std::int64_t sever_after) {
+    mpp::RunOptions opts;
+    opts.transport = mpp::TransportKind::kTcp;
+    opts.tcp.heartbeat_ms = heartbeat_ms;
+    opts.tcp.recv_timeout_ms = 5000;
+    opts.tcp.fault.sever_after = sever_after;
+    Run r;
+    std::atomic<int> rounds{0};
+    try {
+      const mpp::RunOutcome out =
+          mpp::run_world(2, opts, [&](mpp::Comm& comm) {
+            for (int i = 0; i < 20; ++i) {
+              std::int64_t x = i;
+              if (comm.rank() == 0) {
+                comm.send(1, 4, &x, 1);
+                comm.recv(1, 5, &x, 1);
+                r.sum += x;
+                ++rounds;
+              } else {
+                comm.recv(0, 4, &x, 1);
+                x *= 2;
+                comm.send(0, 5, &x, 1);
+              }
+            }
+          });
+      EXPECT_EQ(out.comm.messages_sent, 40u);
+    } catch (const PeerDied&) {
+      r.severed = true;
+    }
+    r.rounds = rounds.load();
+    return r;
+  };
   std::int64_t expect = 0;
   for (int i = 0; i < 20; ++i) expect += i * 2;
-  EXPECT_EQ(sum, expect);
-  // PINGs are outside the data sequence space: the injector saw only the
-  // data frames, so the seeded drop count replays the no-heartbeat world.
-  EXPECT_GT(out.net.fault_dropped, 0u);
+  for (const int heartbeat_ms : {0, 2}) {
+    const Run clean = run(heartbeat_ms, -1);
+    EXPECT_FALSE(clean.severed);
+    EXPECT_EQ(clean.sum, expect) << "heartbeat_ms " << heartbeat_ms;
+    // PINGs ride outside the data sequence space, so they never move the
+    // sever point: rank 0's frame index 12 severs either way.
+    const Run cut = run(heartbeat_ms, 12);
+    EXPECT_TRUE(cut.severed);
+    EXPECT_EQ(cut.rounds, 12) << "heartbeat_ms " << heartbeat_ms;
+  }
 }
 
 }  // namespace

@@ -6,13 +6,19 @@
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <ostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "mpp/mpp.hpp"
@@ -119,6 +125,71 @@ TEST(Spawn, RespawnReplacesARanksProcess) {
   EXPECT_EQ(codes[0], 255);  // the live incarnation still sleeps
 }
 
+/// The state letter of a live process ('Z' for a zombie), or 0 when the
+/// pid is gone; ppid receives its parent.
+char proc_state(pid_t pid, pid_t* ppid = nullptr) {
+  std::ifstream f("/proc/" + std::to_string(pid) + "/stat");
+  std::string stat;
+  if (!std::getline(f, stat)) return 0;
+  // pid (comm) state ppid ... — comm may contain spaces, parse past ')'.
+  const std::size_t close = stat.rfind(')');
+  char state = 0;
+  pid_t parent = 0;
+  if (close == std::string::npos ||
+      std::sscanf(stat.c_str() + close + 1, " %c %d", &state, &parent) != 2)
+    return 0;
+  if (ppid) *ppid = parent;
+  return state;
+}
+
+/// Live direct children of `parent` (via /proc/<pid>/stat field 4).
+std::vector<pid_t> children_of(pid_t parent) {
+  std::vector<pid_t> kids;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc")) {
+    const std::string name = entry.path().filename().string();
+    if (name.empty() ||
+        name.find_first_not_of("0123456789") != std::string::npos)
+      continue;
+    const pid_t pid = std::atoi(name.c_str());
+    pid_t ppid = 0;
+    const char state = proc_state(pid, &ppid);
+    if (state != 0 && state != 'Z' && ppid == parent) kids.push_back(pid);
+  }
+  return kids;
+}
+
+TEST(Spawn, WorkersDieWithTheirLauncher) {
+  // A SIGKILLed launcher (peachyd, ctest) cannot reap or kill its workers;
+  // they must go down with it instead of sleeping on as orphans.
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    try {
+      mpp::run_world(2, spawned(), [](mpp::Comm&) {
+        std::this_thread::sleep_for(std::chrono::seconds(20));
+      });
+    } catch (...) {
+    }
+    ::_exit(0);
+  }
+  std::vector<pid_t> workers;
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (workers.size() < 2 && std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    workers = children_of(helper);
+  }
+  ASSERT_EQ(::kill(helper, SIGKILL), 0);
+  ASSERT_EQ(::waitpid(helper, nullptr, 0), helper);
+  ASSERT_EQ(workers.size(), 2u) << "the helper never spawned its workers";
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  for (const pid_t pid : workers) {
+    const char state = proc_state(pid);
+    EXPECT_TRUE(state == 0 || state == 'Z')
+        << "worker " << pid << " outlived its launcher (state " << state
+        << ")";
+  }
+}
+
 TEST(Spawn, SigtermAtBirthEndsTheWorldPromptly) {
   // The watchdog SIGTERMs every worker on its first poll, right after the
   // spawns. Exec'd workers are still loading this binary then, long before
@@ -201,17 +272,18 @@ TEST(Spawn, Sandpile2dByteIdenticalAcrossAllBackends) {
 }
 
 TEST(Spawn, SeededFaultsAreDeterministicAcrossProcessRuns) {
+  // The same fault plan severs the same link at the same frame in every
+  // process run, so supervised recovery replays identically.
   const sandpile::Field initial = sandpile::center_pile(16, 16, 800);
 
   sandpile::DistributedOptions opts;
   opts.ranks = 2;
   opts.halo_depth = 2;
+  opts.checkpoint_every = 4;
   opts.run.transport = mpp::TransportKind::kTcp;
   opts.run.spawn = true;
-  opts.run.tcp.fault.seed = 99;
-  opts.run.tcp.fault.drop = 0.05;
-  opts.run.tcp.fault.duplicate = 0.05;
-  opts.run.tcp.ack_timeout_ms = 20;  // recover injected drops quickly
+  opts.run.resilience.max_restarts = 2;
+  opts.run.tcp.fault.sever_after = 20;
 
   const sandpile::DistributedResult a =
       sandpile::stabilize_distributed(initial, opts);
@@ -220,9 +292,10 @@ TEST(Spawn, SeededFaultsAreDeterministicAcrossProcessRuns) {
 
   ASSERT_TRUE(a.stable);
   EXPECT_TRUE(a.field.same_interior(b.field));
-  EXPECT_GT(a.net.fault_dropped + a.net.fault_duplicated, 0u);
-  EXPECT_EQ(a.net.fault_dropped, b.net.fault_dropped);
-  EXPECT_EQ(a.net.fault_duplicated, b.net.fault_duplicated);
+  EXPECT_EQ(a.rounds, b.rounds);
+  // A restart clears the plan, so each run severs exactly once.
+  EXPECT_EQ(a.restarts, 1);
+  EXPECT_EQ(b.restarts, 1);
 }
 
 // Exec mode: each worker is a fresh copy of this very test binary. The

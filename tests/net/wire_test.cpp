@@ -18,7 +18,7 @@ TEST(Wire, HeaderRoundTrip) {
   h.src = 3;
   h.tag = -4242;
   h.seq = 0x0123456789abcdefULL;
-  h.ack = 0xfedcba9876543210ULL;
+  h.sent_ns = -0x0123456789abcdefLL;  // the field is signed
   h.len = 1024;
   h.crc = 0xdeadbeef;
 
@@ -31,7 +31,7 @@ TEST(Wire, HeaderRoundTrip) {
   EXPECT_EQ(back.src, 3);
   EXPECT_EQ(back.tag, -4242);
   EXPECT_EQ(back.seq, 0x0123456789abcdefULL);
-  EXPECT_EQ(back.ack, 0xfedcba9876543210ULL);
+  EXPECT_EQ(back.sent_ns, -0x0123456789abcdefLL);
   EXPECT_EQ(back.len, 1024u);
   EXPECT_EQ(back.crc, 0xdeadbeefu);
 }
@@ -40,8 +40,8 @@ TEST(Wire, SeqBeforeIsSerialArithmetic) {
   EXPECT_TRUE(seq_before(0, 1));
   EXPECT_FALSE(seq_before(1, 0));
   EXPECT_FALSE(seq_before(5, 5));
-  // Across the u64 wrap: max precedes 0, and a window straddling the wrap
-  // stays ordered — the property TcpOptions::first_seq tests lean on.
+  // Across the u64 wrap: max precedes 0, and a range straddling the wrap
+  // stays ordered.
   const std::uint64_t top = ~std::uint64_t{0};
   EXPECT_TRUE(seq_before(top, 0));
   EXPECT_TRUE(seq_before(top - 3, top));
@@ -79,6 +79,8 @@ TEST(Wire, UnknownTypeRejected) {
   std::byte buf[kHeaderBytes];
   encode_header(h, buf);
   buf[6] = std::byte{200};
+  EXPECT_THROW(decode_header(buf), Error);
+  buf[6] = std::byte{4};  // v2's ACK: no such frame since v3
   EXPECT_THROW(decode_header(buf), Error);
 }
 

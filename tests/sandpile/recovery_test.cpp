@@ -54,8 +54,6 @@ TEST(Recovery, Spawned2dSeveredRankRecoversByteIdentical) {
   opt.run.spawn = true;
   opt.run.transport = mpp::TransportKind::kTcp;
   opt.run.resilience.max_restarts = 3;
-  opt.run.tcp.ack_timeout_ms = 20;
-  opt.run.tcp.fault.seed = 7;
   opt.run.tcp.fault.sever_after = sweep_sever_after();
 
   const DistributedResult r = stabilize_distributed(initial, opt);
@@ -76,8 +74,6 @@ TEST(Recovery, Spawned1dSeveredRankRecoversByteIdentical) {
   opt.run.spawn = true;
   opt.run.transport = mpp::TransportKind::kTcp;
   opt.run.resilience.max_restarts = 3;
-  opt.run.tcp.ack_timeout_ms = 20;
-  opt.run.tcp.fault.seed = 11;
   opt.run.tcp.fault.sever_after = 60;
 
   const DistributedResult r = stabilize_distributed(initial, opt);

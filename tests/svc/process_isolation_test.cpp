@@ -138,8 +138,10 @@ TEST(SvcProcessIsolation, DmrJobCancelsMidRunViaSigterm) {
   TempDir dir;
   Daemon daemon(base_options(dir.path()));
   Client client("127.0.0.1", daemon.port());
+  // Enough epochs to still be running when the cancel lands: with 200,
+  // the job finished DONE first in 4 of 20 runs on a 4-vCPU host.
   const SubmitResult sub =
-      client.submit(process_dmr("alice", /*map_epochs=*/200));
+      client.submit(process_dmr("alice", /*map_epochs=*/2000));
   ASSERT_TRUE(sub.accepted);
   wait_until_running(client, sub.id);
   client.cancel(sub.id);
@@ -176,14 +178,15 @@ TEST(SvcProcessIsolation, WallClockDeadlineFailsTheJobAsTimeout) {
   o.term_grace_ms = 500;
   Daemon daemon(o);
   Client client("127.0.0.1", daemon.port());
-  // A pile big enough to run for many seconds, capped at 400 ms.
+  // A pile big enough to run for many seconds, capped at 400 ms. (64x64
+  // with the same grains stabilizes in about 300 ms on a 4-vCPU host.)
   JobSpec spec;
   spec.kind = JobKind::kSandpile;
   spec.tenant = "alice";
   spec.ranks = 2;
   spec.isolation = Isolation::kProcess;
   spec.deadline_ms = 400;
-  spec.sandpile = {64, 64, 40000000, 1, 0};
+  spec.sandpile = {256, 256, 40000000, 1, 0};
   const SubmitResult sub = client.submit(spec);
   ASSERT_TRUE(sub.accepted);
   const JobStatus s = client.await(sub.id, 60s);
