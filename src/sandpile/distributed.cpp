@@ -31,6 +31,15 @@ struct Block {
   int local_cols() const { return cols() + 2 * k; }
 };
 
+// The termination verdict runs every kVerdictEvery rounds (plus at
+// checkpoint rounds and at max_rounds). In between, ranks only exchange
+// halos and compute: a fixed point stays fixed, so the up to
+// kVerdictEvery - 1 rounds run past stability change nothing.
+constexpr int kVerdictEvery = 4;
+// The abort value of the verdict all-reduce: far above any round, so it
+// dominates every rank's last-changed round.
+constexpr std::int64_t kAbort = std::int64_t{1} << 62;
+
 }  // namespace
 
 DistributedResult stabilize_distributed(const Field& initial,
@@ -91,15 +100,22 @@ DistributedResult stabilize_distributed(const Field& initial,
     bool globally_stable = false;
     bool aborted = false;
     int round = 0;
+    // The last round in which this rank's owned cells changed (0 = none).
+    std::int64_t last_changed = 0;
     // Resume from the last committed checkpoint, if any: each rank gets its
-    // own slab back and the loop continues at the recorded round.
+    // own slab back and the loop continues at the recorded round. A cut is
+    // only taken after a "still changing" verdict, so the world's last
+    // change is exactly the restored round.
     if (comm.checkpointing()) {
       if (auto blob = comm.restore()) {
         detail::SlabBlob slab = detail::decode_slab(*blob, LR, LC);
         round = slab.round;
+        last_changed = round;
         cur = std::move(slab.grid);
       }
     }
+    const bool checkpoints =
+        options.checkpoint_every > 0 && comm.checkpointing();
     Grid2D<Cell> next = cur;
     for (;;) {
       if (options.max_rounds > 0 && round >= options.max_rounds) break;
@@ -168,30 +184,48 @@ DistributedResult stabilize_distributed(const Field& initial,
       }
 
       ++round;
+      if (changed_owned) last_changed = round;
+      // Executed rounds: up to kVerdictEvery - 1 more than the reported
+      // `rounds` of a run that ends stable.
       if (rank == 0 && obs::enabled())
         obs::Registry::global().counter("sandpile.exchange_rounds").add(1);
-      // Termination decision, one max-allreduce for both signals: bit 0 =
-      // "my owned cells changed", bit 1 = "rank 0 wants to abort". The
-      // abort values (2, 3) dominate the max, so when it is set every rank
-      // stops at this same round regardless of the changed flags — a
-      // consistent cancellation cut.
-      const std::int64_t mine =
-          (changed_owned ? 1 : 0) |
-          ((rank == 0 && options.should_abort && options.should_abort()) ? 2
-                                                                         : 0);
-      const std::int64_t verdict = comm.allreduce_max(mine);
-      if (verdict >= 2) {
+      const bool checkpoint_round =
+          checkpoints && round % options.checkpoint_every == 0;
+      if (round % kVerdictEvery != 0 && !checkpoint_round &&
+          round != options.max_rounds)
+        continue;
+
+      // Termination verdict, one max-allreduce for both signals: the
+      // world's last changed round, or kAbort when rank 0 wants to abort.
+      // The abort value dominates the max, so every rank stops at this
+      // same round regardless of the changes — a consistent cancellation
+      // cut.
+      std::int64_t verdict;
+      {
+        obs::Span span("sandpile.verdict", "sandpile");
+        span.arg("rank", rank);
+        span.arg("round", round);
+        const bool abort =
+            rank == 0 && options.should_abort && options.should_abort();
+        verdict = comm.allreduce_max(abort ? kAbort : last_changed);
+      }
+      if (rank == 0 && obs::enabled())
+        obs::Registry::global().counter("sandpile.verdicts").add(1);
+      if (verdict >= kAbort) {
         aborted = true;
         break;
       }
-      if (verdict == 0) {
+      if (verdict < round) {
+        // Nothing changed after round `verdict`, so a per-round verdict
+        // would have stopped at the round after it, on this same grid.
         globally_stable = true;
+        round = static_cast<int>(verdict) + 1;
         break;
       }
-      // Checkpoint right after the allreduce: every rank is provably at the
-      // same round here, so the saved cut is globally consistent.
-      if (options.checkpoint_every > 0 && comm.checkpointing() &&
-          round % options.checkpoint_every == 0) {
+      // Checkpoint right after a "still changing" verdict: every rank is
+      // provably at the same round here, so the saved cut is globally
+      // consistent.
+      if (checkpoint_round) {
         const std::vector<std::byte> slab = detail::encode_slab(round, cur);
         comm.checkpoint(slab.data(), slab.size());
       }

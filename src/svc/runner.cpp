@@ -179,15 +179,15 @@ RunnerOutcome run_wfsim(const JobSpec& spec, const RunnerOptions& options) {
         const wf::Platform platform = wf::eduwrench_platform();
         const int levels = wf.num_levels();
         // Every rank runs the same iteration count (idle tail iterations
-        // included) so the per-iteration cancel collective lines up; rank r
-        // owns steps r, r+R, r+2R, ...
+        // included) so the cancel collective, polled every 4th iteration,
+        // lines up; rank r owns steps r, r+R, r+2R, ...
         const std::uint32_t iters =
             (steps + static_cast<std::uint32_t>(R) - 1) /
             static_cast<std::uint32_t>(R);
         bool aborted = false;
         std::vector<std::int64_t> mine;  // (step, makespan bits, gco2 bits)
         for (std::uint32_t it = 0; it < iters; ++it) {
-          if (abort_hook) {
+          if (abort_hook && it % 4 == 0) {
             const bool stop_mine = rank == 0 && abort_hook();
             if (comm.allreduce_or(stop_mine)) {
               aborted = true;

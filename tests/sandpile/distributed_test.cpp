@@ -12,11 +12,14 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/error.hpp"
 #include "mpp/checkpoint.hpp"
 #include "sandpile/field.hpp"
+#include "sandpile/result_blob.hpp"
+#include "sandpile/variants.hpp"
 
 namespace peachy::sandpile {
 namespace {
@@ -149,8 +152,16 @@ TEST(Distributed, RowDecompositionWireIsPinned) {
   const DistributedResult r = stabilize_distributed(initial, opt);
   ASSERT_TRUE(r.stable);
   EXPECT_EQ(r.rounds, 636);
-  EXPECT_EQ(r.comm.messages_sent, 5092u);
-  EXPECT_EQ(r.comm.bytes_sent, 328672u);
+  // Halo part: 4 strips of 30 cells per round, plus the 4-message gather
+  // (two sizes, two blocks of 13 and 14 rows).
+  constexpr std::uint64_t kHaloMessages = 4 * 636 + 4;
+  constexpr std::uint64_t kHaloBytes = 4 * 636 * 30 * 4 + 16 + 27 * 28 * 4;
+  // Verdict part: a rank-0 star of 4 eight-byte messages every 4th round,
+  // the last at round 636.
+  constexpr std::uint64_t kVerdictMessages = 4 * (636 / 4);
+  constexpr std::uint64_t kVerdictBytes = kVerdictMessages * 8;
+  EXPECT_EQ(r.comm.messages_sent, kHaloMessages + kVerdictMessages);  // 3184
+  EXPECT_EQ(r.comm.bytes_sent, kHaloBytes + kVerdictBytes);           // 313408
 
   // Each rank's slab: round + shape header, then (rows + 2) x (W + 2)
   // cells; 40 rows over 3 ranks own 13, 13 and 14.
@@ -198,10 +209,11 @@ TEST(Distributed, MaxRoundsBoundsExecution) {
 }
 
 TEST(Distributed, AbortOn2x2StopsEveryRankAtTheSameRound) {
-  // should_abort fires on rank 0 in round 3; the verdict rides the
-  // termination all-reduce, so every rank leaves after the same three
-  // exchanges. A rank that ran on would send more (or hang the world), so
-  // the traffic must equal a run capped at three rounds.
+  // should_abort is polled on rank 0 at each verdict (every 4th round) and
+  // fires at its third poll, in round 12; the verdict rides the termination
+  // all-reduce, so every rank leaves after the same twelve exchanges. A
+  // rank that ran on would send more (or hang the world), so the traffic
+  // must equal a run capped at the same round.
   const Field initial = center_pile(32, 32, 50000);
   DistributedOptions opt = grid_options(2, 2, 2);
   std::atomic<int> polls{0};
@@ -209,16 +221,101 @@ TEST(Distributed, AbortOn2x2StopsEveryRankAtTheSameRound) {
   const DistributedResult aborted = stabilize_distributed(initial, opt);
   EXPECT_TRUE(aborted.aborted);
   EXPECT_FALSE(aborted.stable);
-  EXPECT_EQ(aborted.rounds, 3);
+  EXPECT_EQ(aborted.rounds, 12);
   EXPECT_EQ(polls.load(), 3);
 
   DistributedOptions capped = grid_options(2, 2, 2);
-  capped.max_rounds = 3;
+  capped.max_rounds = aborted.rounds;
   const DistributedResult bounded = stabilize_distributed(initial, capped);
   EXPECT_FALSE(bounded.aborted);
   EXPECT_EQ(aborted.comm.messages_sent, bounded.comm.messages_sent);
   EXPECT_EQ(aborted.comm.bytes_sent, bounded.comm.bytes_sent);
   EXPECT_TRUE(aborted.field.same_interior(bounded.field));
+}
+
+// Per-round verdict oracle. The verdict runs only every few rounds, yet a
+// run must report what checking after every round would: the sequential
+// synchronous solver's `iters` includes the final no-change iteration, so
+// the last change falls in round ceil((iters - 1) / k) and the first
+// quiet round is the one after it.
+TEST(Distributed, RoundsMatchSequentialSyncIterations) {
+  int cases = 0, off_grid = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const int H = 15 + static_cast<int>(seed % 5);
+    const int W = 15 + static_cast<int>(seed * 7 % 6);
+    const Field initial =
+        sparse_random_pile(H, W, 0.1 + 0.03 * static_cast<double>(seed % 4),
+                           4, 12 + 4 * static_cast<Cell>(seed), seed);
+    Field expected = initial;
+    const int iters = run_variant(Variant::kSeqSync, expected).run.iterations;
+    for (const auto& [py, px] : {std::pair{1, 1}, std::pair{2, 1},
+                                 std::pair{3, 1}, std::pair{2, 2},
+                                 std::pair{1, 3}}) {
+      for (const int k : {1, 2, 3, 5}) {
+        const DistributedResult r =
+            stabilize_distributed(initial, grid_options(py, px, k));
+        ASSERT_TRUE(r.stable);
+        EXPECT_TRUE(r.field.same_interior(expected))
+            << "seed " << seed << " on " << py << "x" << px << ", k " << k;
+        EXPECT_EQ(r.rounds, (iters - 1 + k - 1) / k + 1)
+            << "seed " << seed << " on " << py << "x" << px << ", k " << k
+            << ", " << iters << " sequential iterations";
+        ++cases;
+        if (r.rounds % 4 != 0) ++off_grid;
+      }
+    }
+  }
+  EXPECT_EQ(cases, 240);
+  // Most runs must stop between verdicts (145 of the 240 do), or the test
+  // would not tell an exact `rounds` from the verdict round.
+  EXPECT_GT(off_grid, 120);
+}
+
+// Checkpoint rounds and max_rounds are verdict rounds too, even off the
+// every-4th-round grid; neither may move a result byte.
+TEST(Distributed, OffGridCutsAndCapsKeepResultBlobs) {
+  const auto blob = [](const DistributedResult& r) {
+    return detail::encode_result(r.field, r.stable, r.rounds, r.aborted);
+  };
+  // Three piles run far past the cap; at k = 1 one of the three center
+  // piles settles before it (round 6), at k = 2 all three do (rounds 4, 5
+  // and 7).
+  std::vector<Field> piles;
+  for (const std::uint64_t seed : {5u, 6u, 7u})
+    piles.push_back(sparse_random_pile(20, 18, 0.3, 4, 40, seed));
+  for (const Cell grains : {32u, 48u, 60u})
+    piles.push_back(center_pile(20, 18, grains));
+  for (const int k : {1, 2}) {
+    for (std::size_t p = 0; p < piles.size(); ++p) {
+      const Field& initial = piles[p];
+      const DistributedOptions plain = grid_options(2, 1, k);
+      const DistributedResult a = stabilize_distributed(initial, plain);
+      ASSERT_TRUE(a.stable);
+
+      DistributedOptions cut = plain;
+      cut.checkpoint_every = 3;
+      cut.run.resilience.max_restarts = 1;  // private temp checkpoint dir
+      const DistributedResult b = stabilize_distributed(initial, cut);
+      EXPECT_EQ(blob(b), blob(a)) << "k " << k << ", pile " << p;
+
+      // Capped at 7 rounds, a per-round verdict reports the sequential
+      // grid after 7k iterations, or the fixed point if it came first.
+      constexpr int kCap = 7;
+      Field expected = initial;
+      VariantOptions seq;
+      seq.max_iterations = kCap * k;
+      const pap::RunResult run =
+          run_variant(Variant::kSeqSync, expected, seq).run;
+      const int stable_round = (run.iterations - 1 + k - 1) / k + 1;
+      const bool stable = run.stable && stable_round <= kCap;
+      DistributedOptions capped = plain;
+      capped.max_rounds = kCap;
+      const DistributedResult c = stabilize_distributed(initial, capped);
+      EXPECT_EQ(blob(c), detail::encode_result(expected, stable,
+                                               stable ? stable_round : kCap))
+          << "k " << k << ", pile " << p;
+    }
+  }
 }
 
 TEST(Distributed, StableInputTerminatesInOneRound) {

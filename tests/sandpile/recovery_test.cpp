@@ -9,8 +9,10 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 
+#include "mpp/checkpoint.hpp"
 #include "sandpile/distributed.hpp"
 #include "sandpile/field.hpp"
 
@@ -110,6 +112,68 @@ TEST(Recovery, CappedRunResumesFromNamedCheckpointDir) {
   ASSERT_TRUE(second.stable);
   EXPECT_EQ(second.rounds, uninterrupted.rounds);
   EXPECT_TRUE(second.field.same_interior(reference));
+}
+
+TEST(Recovery, CappedRunResumesFromAnOffGridCheckpoint) {
+  // The same pair with the cap and the last cut at round 21, which is not
+  // one of the every-4th verdict rounds: the cut must still carry the
+  // exact round, so the resumed run reports the uninterrupted `rounds`.
+  const Field initial = center_pile(48, 48, 20000);
+  Field reference = initial;
+  stabilize_reference(reference);
+
+  DistributedOptions base;
+  base.ranks = 3;
+  base.checkpoint_every = 3;
+  const DistributedResult uninterrupted = stabilize_distributed(initial, base);
+  ASSERT_TRUE(uninterrupted.stable);
+  ASSERT_GT(uninterrupted.rounds, 21) << "problem too small to interrupt";
+
+  TempDir dir;
+  DistributedOptions capped = base;
+  capped.max_rounds = 21;
+  capped.run.resilience.checkpoint_dir = dir.path();
+  const DistributedResult first = stabilize_distributed(initial, capped);
+  EXPECT_FALSE(first.stable);
+  EXPECT_EQ(first.rounds, 21);
+  // Every third round is cut, verdict grid or not: rounds 3, 6, ..., 21.
+  const std::optional<mpp::CheckpointImage> image =
+      mpp::load_checkpoint(dir.path(), 3);
+  ASSERT_TRUE(image.has_value());
+  EXPECT_EQ(image->epoch, 7);
+
+  DistributedOptions resumed = base;
+  resumed.run.resilience.checkpoint_dir = dir.path();
+  const DistributedResult second = stabilize_distributed(initial, resumed);
+  ASSERT_TRUE(second.stable);
+  EXPECT_EQ(second.rounds, uninterrupted.rounds);
+  EXPECT_TRUE(second.field.same_interior(reference));
+}
+
+TEST(Recovery, ResumeFromTheLastChangingRoundStopsOneRoundLater) {
+  // Cut at the last round that changed a cell: the resumed run changes
+  // nothing more, so only the restored round can tell its verdict how far
+  // the world got. It must stop at the uninterrupted `rounds`, not at 1.
+  const Field initial = center_pile(24, 24, 3000);
+  DistributedOptions base;
+  base.ranks = 3;
+  const DistributedResult uninterrupted = stabilize_distributed(initial, base);
+  ASSERT_TRUE(uninterrupted.stable);
+  const int last_change = uninterrupted.rounds - 1;
+  base.checkpoint_every = last_change;
+
+  TempDir dir;
+  DistributedOptions capped = base;
+  capped.max_rounds = last_change;
+  capped.run.resilience.checkpoint_dir = dir.path();
+  EXPECT_FALSE(stabilize_distributed(initial, capped).stable);
+
+  DistributedOptions resumed = base;
+  resumed.run.resilience.checkpoint_dir = dir.path();
+  const DistributedResult second = stabilize_distributed(initial, resumed);
+  ASSERT_TRUE(second.stable);
+  EXPECT_EQ(second.rounds, uninterrupted.rounds);
+  EXPECT_TRUE(second.field.same_interior(uninterrupted.field));
 }
 
 TEST(Recovery, CheckpointingDoesNotPerturbTheResult) {
