@@ -6,12 +6,14 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -58,6 +60,10 @@ obs::Counter& obs_checkpoint_bytes() {
 obs::Histogram& obs_checkpoint_write_ns() {
   static obs::Histogram& h =
       obs::Registry::global().histogram("mpp.checkpoint_write_ns");
+  return h;
+}
+obs::Histogram& obs_reap_ns() {
+  static obs::Histogram& h = obs::Registry::global().histogram("mpp.reap_ns");
   return h;
 }
 obs::Counter& obs_restores() {
@@ -627,12 +633,21 @@ RunOutcome spawn_attempt(int ranks, const RunOptions& options,
   // The watchdog starts strictly after the forks above, so the children
   // never inherit a half-born thread. It only touches the launcher through
   // signal-sending entry points, which are mutex-guarded against the
-  // wait_all reap below.
-  std::atomic<bool> watchdog_stop{false};
+  // wait_all reap below. It polls every kWatchdogPoll, but waits on a
+  // condition variable that the stop notifies, so its join never sleeps
+  // out the rest of a poll after the workers are gone.
+  std::mutex watchdog_mu;
+  std::condition_variable watchdog_cv;
+  bool watchdog_stop = false;
+  // Waits until `until` unless stopped first; true when stopped.
+  const auto stopped_by = [&](Clock::time_point until) {
+    std::unique_lock lock(watchdog_mu);
+    return watchdog_cv.wait_until(lock, until, [&] { return watchdog_stop; });
+  };
   std::thread watchdog;
   if (control.should_abort || control.deadline_ms > 0) {
     watchdog = std::thread([&] {
-      while (!watchdog_stop.load()) {
+      do {
         int why = 0;
         if (control.should_abort && control.should_abort())
           why = 1;
@@ -641,15 +656,12 @@ RunOutcome spawn_attempt(int ranks, const RunOptions& options,
         if (why != 0) {
           state.fired.store(why);
           launcher.terminate_all(SIGTERM);
-          const auto kill_at =
-              Clock::now() + std::chrono::milliseconds(control.term_grace_ms);
-          while (!watchdog_stop.load() && Clock::now() < kill_at)
-            std::this_thread::sleep_for(kWatchdogPoll);
-          if (!watchdog_stop.load()) launcher.kill_all();
+          if (!stopped_by(Clock::now() +
+                          std::chrono::milliseconds(control.term_grace_ms)))
+            launcher.kill_all();
           return;
         }
-        std::this_thread::sleep_for(kWatchdogPoll);
-      }
+      } while (!stopped_by(Clock::now() + kWatchdogPoll));
     });
   }
 
@@ -660,9 +672,17 @@ RunOutcome spawn_attempt(int ranks, const RunOptions& options,
   } catch (...) {
     serve_error = std::current_exception();
   }
+  obs::Span reap("mpp.reap", "mpp");
+  const std::int64_t reap_t0 = obs::enabled() ? now_ns() : 0;
   const std::vector<int> codes = launcher.wait_all(budget_ms);
-  watchdog_stop.store(true);
+  {
+    std::lock_guard lock(watchdog_mu);
+    watchdog_stop = true;
+  }
+  watchdog_cv.notify_all();
   if (watchdog.joinable()) watchdog.join();
+  if (obs::enabled()) obs_reap_ns().observe(now_ns() - reap_t0);
+  reap.close();
 
   std::vector<net::WorkerReport>& reports = server.reports();
   for (int r = 0; r < ranks; ++r) {

@@ -1,16 +1,18 @@
 #include "net/process.hpp"
 
+#include <poll.h>
 #include <signal.h>
 #include <sys/prctl.h>
 #include <sys/resource.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "core/error.hpp"
 
@@ -19,6 +21,10 @@ namespace peachy::net {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// wait_all's re-scan cadence while some child has no pidfd (pidfd_open
+// failed, e.g. on EMFILE): poll cannot see that child exit.
+constexpr int kBlindScanMs = 5;
 
 // Child-side, between fork and recipe/exec: only async-signal-safe calls.
 void apply_child_limits(const ChildLimits& limits) {
@@ -46,8 +52,17 @@ ProcessLauncher::~ProcessLauncher() {
   std::lock_guard<std::mutex> lock(mu_);
   for (pid_t pid : pids_)
     if (pid > 0) ::kill(pid, SIGKILL);
-  for (pid_t pid : pids_)
-    if (pid > 0) ::waitpid(pid, nullptr, 0);
+  for (std::size_t i = 0; i < pids_.size(); ++i)
+    if (pids_[i] > 0) {
+      ::waitpid(pids_[i], nullptr, 0);
+      forget(i);
+    }
+}
+
+void ProcessLauncher::forget(std::size_t rank) {
+  pids_[rank] = -1;
+  if (pidfds_[rank] >= 0) ::close(pidfds_[rank]);
+  pidfds_[rank] = -1;
 }
 
 pid_t ProcessLauncher::spawn_one(int rank) {
@@ -92,6 +107,10 @@ pid_t ProcessLauncher::spawn_one(int rank) {
     ::execv(cargv[0], cargv.data());
     ::_exit(127);  // exec failed
   }
+  // Readable once the child exits, so wait_all can block on it. Only this
+  // launcher reaps the pid, so it cannot be recycled before this call.
+  pidfds_[static_cast<std::size_t>(rank)] =
+      static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
   return pid;
 }
 
@@ -130,9 +149,12 @@ pid_t ProcessLauncher::respawn(int rank) {
   PEACHY_REQUIRE(fork_recipe_ || !exec_argv_.empty(),
                  "respawn(" << rank << ") before any spawn call set a recipe");
   std::lock_guard<std::mutex> lock(mu_);
-  if (static_cast<std::size_t>(rank) >= pids_.size())
-    pids_.resize(static_cast<std::size_t>(rank) + 1, -1);
-  pid_t& slot = pids_[static_cast<std::size_t>(rank)];
+  const auto i = static_cast<std::size_t>(rank);
+  if (i >= pids_.size()) {
+    pids_.resize(i + 1, -1);
+    pidfds_.resize(i + 1, -1);
+  }
+  pid_t& slot = pids_[i];
   if (slot > 0) {
     // The old incarnation may be live, a zombie, or already reaped by
     // wait_all; kill is advisory, the reap is what frees the slot.
@@ -140,7 +162,7 @@ pid_t ProcessLauncher::respawn(int rank) {
     struct rusage usage {};
     if (::wait4(slot, nullptr, 0, &usage) == slot)
       fold_peak_rss(usage, peak_rss_bytes_);
-    slot = -1;
+    forget(i);
   }
   slot = spawn_one(rank);
   return slot;
@@ -150,15 +172,21 @@ std::vector<int> ProcessLauncher::wait_all(int timeout_ms) {
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   std::unique_lock<std::mutex> lock(mu_);
   std::vector<int> codes(pids_.size(), -1);
-  std::size_t done = 0;
   bool killed = false;
-  while (done < pids_.size()) {
+  for (;;) {
+    // Reap whoever has exited; block on the pidfds of the rest.
+    std::vector<pollfd> live;
+    bool blind = false;
     for (std::size_t i = 0; i < pids_.size(); ++i) {
-      if (codes[i] >= 0 || pids_[i] <= 0) continue;
+      if (pids_[i] <= 0) continue;
       int status = 0;
       struct rusage usage {};
       const pid_t rc = ::wait4(pids_[i], &status, WNOHANG, &usage);
-      if (rc == 0) continue;
+      if (rc == 0) {
+        live.push_back({pidfds_[i], POLLIN, 0});  // poll skips a -1 fd
+        blind |= pidfds_[i] < 0;
+        continue;
+      }
       if (rc == pids_[i]) fold_peak_rss(usage, peak_rss_bytes_);
       if (WIFEXITED(status))
         codes[i] = WEXITSTATUS(status);
@@ -166,20 +194,27 @@ std::vector<int> ProcessLauncher::wait_all(int timeout_ms) {
         codes[i] = killed ? 255 : 128 + WTERMSIG(status);
       else
         codes[i] = 255;
-      pids_[i] = -1;
-      ++done;
+      forget(i);
     }
-    if (done == pids_.size()) break;
+    if (live.empty()) break;
     if (Clock::now() >= deadline && !killed) {
       for (pid_t pid : pids_)
         if (pid > 0) ::kill(pid, SIGKILL);
       killed = true;
     }
+    // Until the deadline, wake when a child exits or the deadline passes;
+    // after the kill, wake when a killed child is gone.
+    const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+        deadline - Clock::now());
+    int wait_ms = killed ? -1 : std::max<int>(0, left.count());
+    if (blind)
+      wait_ms = wait_ms < 0 ? kBlindScanMs : std::min(wait_ms, kBlindScanMs);
     lock.unlock();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ::poll(live.data(), live.size(), wait_ms);
     lock.lock();
   }
   pids_.clear();
+  pidfds_.clear();
   return codes;
 }
 

@@ -12,7 +12,9 @@
 //
 // wait_all() is deadline-bounded: stragglers are SIGKILLed and reported
 // instead of hanging the launcher — a crashed worker must surface as an
-// error, never as a stuck test.
+// error, never as a stuck test. It blocks on one pidfd per child, so it
+// returns as soon as the last worker exits; it reaps only its own pids
+// (never waitpid(-1)), so several launchers can run side by side.
 //
 // Both spawn styles record their recipe, so respawn(rank) can fork a
 // replacement for a single failed rank later — the building block of the
@@ -102,11 +104,14 @@ class ProcessLauncher {
 
  private:
   pid_t spawn_one(int rank);
+  // Marks `rank` reaped and closes its pidfd. Caller holds mu_.
+  void forget(std::size_t rank);
 
   // Guards pids_: a supervisor watchdog thread may call terminate_all /
   // kill_all while the launcher thread reaps in wait_all.
   mutable std::mutex mu_;
   std::vector<pid_t> pids_;  // indexed by rank; -1 = reaped / never spawned
+  std::vector<int> pidfds_;  // pidfd per pids_ entry; -1 = none
   std::uint64_t peak_rss_bytes_ = 0;  // max ru_maxrss over reaped children
   ChildLimits limits_;
   // Exactly one of these recipes is set after the first spawn call.

@@ -5,10 +5,13 @@
 // fork; ASan is fine).
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -123,6 +126,101 @@ TEST(Spawn, RespawnReplacesARanksProcess) {
   const std::vector<int> codes = launcher.wait_all(200);
   ASSERT_EQ(codes.size(), 1u);
   EXPECT_EQ(codes[0], 255);  // the live incarnation still sleeps
+}
+
+/// Open descriptors of this process (the listing's own fd included, the
+/// same on every call).
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd"))
+    ++n;
+  return n;
+}
+
+TEST(Spawn, LauncherClosesEveryPidfdItOpens) {
+  // A long-lived daemon runs launcher after launcher: each reap path
+  // (respawn, wait_all, the destructor's kill-and-reap) must close the
+  // child's pidfd, or the daemon slowly runs out of descriptors.
+  const auto sleeper = [](int) {
+    ::sleep(30);
+    return 0;
+  };
+  const std::size_t before = open_fds();
+  {
+    net::ProcessLauncher launcher;
+    launcher.fork_workers(1, sleeper);
+    for (int i = 0; i < 3; ++i) launcher.respawn(0);
+    const std::vector<int> codes = launcher.wait_all(100);
+    ASSERT_EQ(codes.size(), 1u);
+    EXPECT_EQ(codes[0], 255);
+  }
+  EXPECT_EQ(open_fds(), before) << "after respawn + wait_all";
+  {
+    net::ProcessLauncher launcher;
+    launcher.fork_workers(2, sleeper);
+  }  // destroyed without wait_all: kills and reaps both
+  EXPECT_EQ(open_fds(), before) << "after the destructor's reap";
+}
+
+TEST(Spawn, WaitAllReapsChildrenItHasNoPidfdFor) {
+  // Out of descriptors, pidfd_open fails; wait_all must then fall back to
+  // re-scanning by pid, and still return soon after the children exit with
+  // their exit codes. A helper process runs the launcher so the descriptor
+  // limit stays out of this one.
+  const auto t0 = std::chrono::steady_clock::now();
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    // Take every descriptor below a small limit, so poll still accepts
+    // the two entries but pidfd_open has no slot left.
+    const struct rlimit few = {64, 64};
+    ::setrlimit(RLIMIT_NOFILE, &few);
+    while (::open("/dev/null", O_RDONLY) >= 0) {
+    }
+    net::ProcessLauncher launcher;
+    launcher.fork_workers(2, [](int rank) {
+      ::usleep(20000);
+      return 3 + rank;
+    });
+    const std::vector<int> codes = launcher.wait_all(60000);
+    ::_exit(codes == std::vector<int>{3, 4} ? 0 : 1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5))
+      << "wait_all slept to its deadline instead of re-scanning";
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "wrong exit codes without pidfds";
+}
+
+TEST(Spawn, GuardedWorldEndsWithItsWorkers) {
+  // A cancel hook starts the launcher-side watchdog. Stopping it at the end
+  // of the world must not cost a poll period: a guarded world with an
+  // empty body ends about as soon as an unguarded one.
+  mpp::RunOptions guarded = spawned();
+  guarded.spawn_control.should_abort = [] { return false; };
+  guarded.spawn_control.deadline_ms = 60000;
+  const mpp::RunOptions unguarded = spawned();
+  const auto world_ms = [](const mpp::RunOptions& options) {
+    const auto t0 = std::chrono::steady_clock::now();
+    mpp::run_world(1, options, [](mpp::Comm&) {});
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  std::vector<double> with_guard, without_guard;
+  for (int i = 0; i < 9; ++i) {  // interleaved, so host noise hits both
+    with_guard.push_back(world_ms(guarded));
+    without_guard.push_back(world_ms(unguarded));
+  }
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + 4, v.end());
+    return v[4];
+  };
+  EXPECT_LT(median(with_guard) - median(without_guard), 10.0)
+      << "guarded median " << median(with_guard) << " ms, unguarded "
+      << median(without_guard) << " ms";
 }
 
 /// The state letter of a live process ('Z' for a zombie), or 0 when the
